@@ -6,10 +6,9 @@ the most probable value per object, and choosing between the two learners
 with an information-units heuristic.
 """
 
-from .instance import FusionInstance, GroundTruth, InstanceError
+from .instance import FusionInstance, GroundTruth, InstanceError, correctness_counts
 from .model import (
     Diagnostics,
-    FusionResult,
     PosteriorTable,
     WeightVector,
     map_values,
@@ -38,6 +37,7 @@ from .optimizer import (
     ground_truth_units,
 )
 from .baselines import counts_fit, counts_infer, majority_vote
+from .pipeline import FusionResult, fuse
 from .analysis import (
     LassoPath,
     PairEstimatorState,
@@ -66,10 +66,12 @@ __all__ = [
     "FusionInstance",
     "GroundTruth",
     "InstanceError",
+    "correctness_counts",
     "WeightVector",
     "PosteriorTable",
     "Diagnostics",
     "FusionResult",
+    "fuse",
     "source_accuracy",
     "source_accuracies",
     "trust_score",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .instance import FusionInstance, GroundTruth
+from .instance import FusionInstance, GroundTruth, correctness_counts
 from .model import argmax_with_ties
 
 __all__ = ["majority_vote", "counts_fit", "counts_infer"]
@@ -30,14 +30,7 @@ def counts_fit(
     if smoothing < 0:
         raise ValueError("smoothing must be non-negative")
     ground_truth.validate(instance)
-    correct = np.zeros(instance.n_sources)
-    total = np.zeros(instance.n_sources)
-    for o, value in ground_truth.labels.items():
-        v_idx = instance.domains[o].index(value)
-        rows = instance.observers_of(o)
-        srcs = instance.obs_source[rows]
-        np.add.at(total, srcs, 1.0)
-        np.add.at(correct, srcs[instance.obs_value_idx[rows] == v_idx], 1.0)
+    correct, total = correctness_counts(instance, ground_truth)
     acc = np.full(instance.n_sources, 0.5)
     seen = total > 0
     acc[seen] = (correct[seen] + smoothing) / (total[seen] + 2.0 * smoothing)

@@ -13,18 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, baselines, evaluation, learning, optimizer, simulation
+from . import analysis, evaluation, learning, optimizer, simulation
 from .instance import FusionInstance, GroundTruth, InstanceError
 from .io import dump_json, load_instance, write_instance
-from .model import (
-    Diagnostics,
-    WeightVector,
-    candidate_scores,
-    argmax_with_ties,
-    source_accuracies,
-    trust_score,
-    _logistic,
-)
+from .model import WeightVector
+from .pipeline import fuse
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -59,20 +52,6 @@ def _decision_json(d: optimizer.OptimizerDecision) -> dict:
     }
 
 
-def _clamped_map_values(
-    instance: FusionInstance,
-    w: WeightVector,
-    truth: GroundTruth | None,
-    seed: int,
-) -> dict[str, str]:
-    rng = np.random.default_rng(seed)
-    values = argmax_with_ties(candidate_scores(instance, w), instance, rng)
-    if truth is not None:
-        for o, value in truth.labels.items():
-            values[instance.objects[o]] = value
-    return values
-
-
 def _run_fuse(args: argparse.Namespace) -> int:
     instance, truth = load_instance(args.observations, args.features, args.truth)
     config = learning.LearnConfig(
@@ -80,59 +59,21 @@ def _run_fuse(args: argparse.Namespace) -> int:
         l2_intercept_penalty=args.l2,
         seed=args.seed,
     )
-    algo = args.algo
-    decision = None
-    if algo == "auto":
-        decision = optimizer.decide(instance, truth or GroundTruth(), args.tau)
-        algo = decision.choice.lower()
-
-    diagnostics = Diagnostics(iterations=0, objective=0.0, converged=True)
-    if algo == "majority":
-        values = baselines.majority_vote(instance, seed=args.seed)
-        weights = WeightVector.zeros(instance)
-        algo_name = "MAJORITY"
-    elif algo == "counts":
-        acc_map = baselines.counts_fit(instance, truth or GroundTruth())
-        intercepts = np.array(
-            [trust_score(min(max(acc_map[s], 1e-12), 1 - 1e-12)) for s in instance.sources]
-        )
-        weights = WeightVector(
-            source_intercepts=intercepts,
-            feature_weights=np.zeros(instance.n_features),
-        )
-        values = baselines.counts_infer(instance, acc_map, seed=args.seed)
-        algo_name = "COUNTS"
-    elif algo == "erm":
-        if truth is None or len(truth) == 0:
-            raise InstanceError("--algo erm requires a non-empty truth file")
-        weights, diagnostics = learning.fit_erm_object(instance, truth, config)
-        values = _clamped_map_values(instance, weights, truth, args.seed)
-        algo_name = "ERM"
-    elif algo == "em":
-        weights, _, diagnostics = learning.fit_em(
-            instance, truth or GroundTruth(), config
-        )
-        values = _clamped_map_values(instance, weights, truth, args.seed)
-        algo_name = "EM"
-    else:
-        raise InstanceError(f"unknown algorithm {algo!r}")
-
-    acc = source_accuracies(weights, instance.features)
-    result = {
-        "values": values,
-        "accuracies": {
-            name: float(acc[i]) for i, name in enumerate(instance.sources)
-        },
-        "weights": _weights_json(instance, weights),
-        "algorithm": algo_name,
-        "optimizer": _decision_json(decision) if decision else None,
+    result = fuse(instance, truth or GroundTruth(), args.algo, config, args.tau)
+    diagnostics = result.diagnostics
+    payload = {
+        "values": result.values,
+        "accuracies": result.accuracies,
+        "weights": _weights_json(instance, result.weights),
+        "algorithm": result.algorithm_used,
+        "optimizer": _decision_json(result.decision) if result.decision else None,
         "diagnostics": {
             "iterations": diagnostics.iterations,
             "objective": diagnostics.objective,
             "converged": diagnostics.converged,
         },
     }
-    dump_json(result, args.out)
+    dump_json(payload, args.out)
     return EXIT_OK if diagnostics.converged else EXIT_NO_CONVERGENCE
 
 
@@ -189,18 +130,17 @@ def _run_evaluate(args: argparse.Namespace) -> int:
     if truth is None:
         raise InstanceError("evaluate requires a truth file")
     fractions = [float(x) for x in args.train_fractions.split(",")]
+    obj_idx = {name: i for i, name in enumerate(instance.objects)}
     truth_by_name = {
         instance.objects[o]: v for o, v in truth.labels.items()
     }
+    labeled = list(truth_by_name)
     full = len(truth) == instance.n_objects
     rows = []
     for fi, fraction in enumerate(fractions):
         for rep in range(args.reps):
             seed = args.seed + 1000 * fi + rep
-            labeled = [instance.objects[o] for o in truth.labels]
-            train, _ = evaluation.make_split(labeled, fraction, seed)
-            test = [o for o in truth_by_name if o not in set(train)]
-            obj_idx = {name: i for i, name in enumerate(instance.objects)}
+            train, test = evaluation.make_split(labeled, fraction, seed)
             train_gt = GroundTruth(
                 {obj_idx[name]: truth_by_name[name] for name in train}
             )
@@ -209,23 +149,12 @@ def _run_evaluate(args: argparse.Namespace) -> int:
             )
             for algo in ("erm", "em", "counts", "majority"):
                 t0 = time.perf_counter()
-                if algo == "erm":
-                    w, _ = learning.fit_erm_object(instance, train_gt, config)
-                    values = _clamped_map_values(instance, w, train_gt, seed)
-                    est = _acc_dict(instance, w)
-                elif algo == "em":
-                    w, _, _ = learning.fit_em(instance, train_gt, config)
-                    values = _clamped_map_values(instance, w, train_gt, seed)
-                    est = _acc_dict(instance, w)
-                elif algo == "counts":
-                    est = baselines.counts_fit(instance, train_gt)
-                    values = baselines.counts_infer(instance, est, seed=seed)
-                else:
-                    values = baselines.majority_vote(instance, seed=seed)
-                    est = {name: 0.5 for name in instance.sources}
+                result = fuse(instance, train_gt, algo, config)
                 elapsed_ms = (time.perf_counter() - t0) * 1000.0
                 err = (
-                    evaluation.weighted_accuracy_error(est, instance, truth)
+                    evaluation.weighted_accuracy_error(
+                        result.accuracies, instance, truth
+                    )
                     if full
                     else None
                 )
@@ -235,7 +164,7 @@ def _run_evaluate(args: argparse.Namespace) -> int:
                         "seed": seed,
                         "algorithm": algo,
                         "object_accuracy": evaluation.object_accuracy(
-                            values, truth_by_name, test
+                            result.values, truth_by_name, test
                         ),
                         "weighted_accuracy_error": err,
                         "runtime_ms": elapsed_ms if args.timing else None,
@@ -245,17 +174,12 @@ def _run_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _acc_dict(instance: FusionInstance, w: WeightVector) -> dict[str, float]:
-    acc = source_accuracies(w, instance.features)
-    return {name: float(acc[i]) for i, name in enumerate(instance.sources)}
-
-
 def _run_predict_sources(args: argparse.Namespace) -> int:
     payload = json.loads(Path(args.weights).read_text(encoding="utf-8"))
     feature_weights = payload.get("weights", {}).get("features", {})
     with open(args.features, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
+        header = [h.strip() for h in next(reader, [])]
         if not header or header[0] != "source_id":
             raise InstanceError(f"{args.features}: header must start with source_id")
         names = header[1:]
@@ -264,18 +188,19 @@ def _run_predict_sources(args: argparse.Namespace) -> int:
             raise InstanceError(
                 f"{args.features}: features {missing} absent from weights file"
             )
-        w = np.array([feature_weights[n] for n in names])
+        w = WeightVector(
+            source_intercepts=np.zeros(0),
+            feature_weights=np.array([feature_weights[n] for n in names]),
+        )
         preds = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
                 f = np.array([float(c) for c in row[1:]])
-            except ValueError:
-                raise InstanceError(
-                    f"{args.features}, line {lineno}: non-numeric feature value"
-                ) from None
-            preds[row[0].strip()] = float(_logistic(float(f @ w)))
+                preds[row[0].strip()] = analysis.predict_new_source_accuracy(w, f)
+            except ValueError as exc:
+                raise InstanceError(f"{args.features}, line {lineno}: {exc}") from None
     dump_json({"accuracies": preds}, args.out)
     return EXIT_OK
 

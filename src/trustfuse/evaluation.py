@@ -6,7 +6,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .instance import FusionInstance, GroundTruth
+from .instance import FusionInstance, GroundTruth, correctness_counts
 
 __all__ = [
     "object_accuracy",
@@ -32,17 +32,11 @@ def object_accuracy(
 def empirical_accuracies(
     instance: FusionInstance, full_truth: GroundTruth
 ) -> dict[str, float]:
-    """Each source's correct fraction over all its observations."""
+    """Each source's correct fraction over all its observations; a full-truth
+    value that no source reported counts as wrong for its reporters."""
     if len(full_truth) < instance.n_objects:
         raise ValueError("full ground truth must label every object")
-    correct = np.zeros(instance.n_sources)
-    total = np.zeros(instance.n_sources)
-    for i in range(instance.n_observations):
-        o = int(instance.obs_object[i])
-        s = int(instance.obs_source[i])
-        total[s] += 1
-        if instance.domains[o][instance.obs_value_idx[i]] == full_truth.labels[o]:
-            correct[s] += 1
+    correct, total = correctness_counts(instance, full_truth)
     return {
         instance.sources[s]: float(correct[s] / total[s])
         for s in range(instance.n_sources)

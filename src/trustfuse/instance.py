@@ -14,7 +14,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["FusionInstance", "GroundTruth", "InstanceError"]
+__all__ = ["FusionInstance", "GroundTruth", "InstanceError", "correctness_counts"]
+
+# Entries of GroundTruth.label_candidates that are not candidate indices.
+_UNLABELLED = -1
+_UNREPORTED = -2
 
 
 class InstanceError(ValueError):
@@ -288,16 +292,33 @@ class GroundTruth:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def validate(self, instance: FusionInstance) -> None:
-        """Check labels name valid objects and values inside their domain."""
+    def label_candidates(self, instance: FusionInstance) -> np.ndarray:
+        """Flat candidate index of each object's label, per object.
+
+        An unlabelled object gets -1 and a label that no source reported
+        gets -2; an object index outside the instance raises.
+        """
+        idx = np.full(instance.n_objects, _UNLABELLED, dtype=np.int64)
         for o, value in self.labels.items():
             if not (0 <= o < instance.n_objects):
                 raise InstanceError(f"ground-truth object index {o} out of range")
-            if value not in instance.domains[o]:
-                raise InstanceError(
-                    f"ground-truth value {value!r} for object "
-                    f"{instance.objects[o]!r} was not reported by any source"
-                )
+            dom = instance.domains[o]
+            idx[o] = (
+                instance.cand_offsets[o] + dom.index(value)
+                if value in dom
+                else _UNREPORTED
+            )
+        return idx
+
+    def validate(self, instance: FusionInstance) -> None:
+        """Check labels name valid objects and values inside their domain."""
+        unreported = np.flatnonzero(self.label_candidates(instance) == _UNREPORTED)
+        if unreported.size:
+            o = int(unreported[0])
+            raise InstanceError(
+                f"ground-truth value {self.labels[o]!r} for object "
+                f"{instance.objects[o]!r} was not reported by any source"
+            )
 
     def restricted_to_domains(self, instance: FusionInstance) -> "GroundTruth":
         """Drop labels whose value no source reported (closed-world rule)."""
@@ -307,3 +328,21 @@ class GroundTruth:
             if 0 <= o < instance.n_objects and v in instance.domains[o]
         }
         return GroundTruth(kept)
+
+
+def correctness_counts(
+    instance: FusionInstance, labels: GroundTruth
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-source (correct, total) counts over the observations of labelled
+    objects.
+
+    An observation is correct when it reports its object's label, so a
+    label that no source reported counts as wrong for every reporter.
+    """
+    label_cand = labels.label_candidates(instance)[instance.obs_object]
+    n = instance.n_sources
+    total = np.bincount(instance.obs_source[label_cand != _UNLABELLED], minlength=n)
+    correct = np.bincount(
+        instance.obs_source[instance.obs_cand == label_cand], minlength=n
+    )
+    return correct, total

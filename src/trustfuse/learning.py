@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .baselines import majority_vote
-from .instance import FusionInstance, GroundTruth
+from .instance import FusionInstance, GroundTruth, correctness_counts
 from .model import (
     Diagnostics,
     PosteriorTable,
@@ -118,15 +118,10 @@ class _Layout:
 
 def one_hot_targets(instance: FusionInstance, labels: GroundTruth) -> np.ndarray:
     """Flat candidate target mass: 1 at each labeled object's true value."""
+    labels.validate(instance)
+    idx = labels.label_candidates(instance)
     t = np.zeros(instance.n_candidates)
-    for o, value in labels.labels.items():
-        dom = instance.domains[o]
-        if value not in dom:
-            raise ValueError(
-                f"label {value!r} for object {instance.objects[o]!r} "
-                "is not in its candidate domain"
-            )
-        t[instance.cand_offsets[o] + dom.index(value)] = 1.0
+    t[idx[idx >= 0]] = 1.0
     return t
 
 
@@ -188,30 +183,6 @@ def object_loss_and_grad(
     return loss, layout.unpack(grad)
 
 
-def _correctness_counts(
-    instance: FusionInstance, labels: GroundTruth
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-source (correct, total) counts over labeled observations."""
-    correct = np.zeros(instance.n_sources)
-    total = np.zeros(instance.n_sources)
-    for o, value in labels.labels.items():
-        dom = instance.domains[o]
-        if value not in dom:
-            raise ValueError(
-                f"label {value!r} for object {instance.objects[o]!r} "
-                "is not in its candidate domain"
-            )
-        v_idx = dom.index(value)
-        rows = instance.observers_of(o)
-        srcs = instance.obs_source[rows]
-        total_add = np.zeros(instance.n_sources)
-        np.add.at(total_add, srcs, 1.0)
-        total += total_add
-        hit = srcs[instance.obs_value_idx[rows] == v_idx]
-        np.add.at(correct, hit, 1.0)
-    return correct, total
-
-
 def _observation_smooth_loss(
     instance: FusionInstance,
     correct: np.ndarray,
@@ -249,8 +220,9 @@ def observation_loss_and_grad(
     l2: float = 0.0,
 ) -> tuple[float, WeightVector]:
     """Smooth part of the observation objective and its gradient at ``w``."""
+    labels.validate(instance)
     layout = _Layout(instance)
-    correct, total = _correctness_counts(instance, labels)
+    correct, total = correctness_counts(instance, labels)
     fg = _observation_smooth_loss(instance, correct, total, l2, layout)
     loss, grad = fg(layout.pack(w))
     return loss, layout.unpack(grad)
@@ -369,7 +341,6 @@ def fit_erm_object(
     """ERM over labeled objects: minimize the penalized posterior log-loss."""
     if len(ground_truth) == 0:
         raise ValueError("ERM requires at least one labeled object")
-    ground_truth.validate(instance)
     targets = one_hot_targets(instance, ground_truth)
     return fit_weights(instance, targets, config, init=init)
 
@@ -385,7 +356,7 @@ def fit_erm_observation(
         raise ValueError("ERM requires at least one labeled object")
     ground_truth.validate(instance)
     layout = _Layout(instance)
-    correct, total = _correctness_counts(instance, ground_truth)
+    correct, total = correctness_counts(instance, ground_truth)
     fg = _observation_smooth_loss(
         instance, correct, total, config.l2_intercept_penalty, layout
     )
@@ -456,7 +427,6 @@ def fit_em(
     flipped labels drops to ``label_change_tol``; soft EM stops when the
     free energy improves by less than ``objective_tol``.
     """
-    ground_truth.validate(instance)
     soft = config.algorithm == EM_SOFT
     label_targets = one_hot_targets(instance, ground_truth)
     clamped_obj = np.zeros(instance.n_objects, dtype=bool)

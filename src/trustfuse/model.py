@@ -19,7 +19,6 @@ __all__ = [
     "WeightVector",
     "PosteriorTable",
     "Diagnostics",
-    "FusionResult",
     "source_accuracy",
     "source_accuracies",
     "trust_score",
@@ -100,15 +99,6 @@ class Diagnostics:
     converged: bool
     # Per-outer-iteration objective trace for EM-style fits; empty otherwise.
     history: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
-class FusionResult:
-    values: dict[str, str]
-    accuracies: dict[str, float]
-    weights: WeightVector
-    algorithm_used: str
-    diagnostics: Diagnostics
 
 
 def source_accuracy(w: WeightVector, s: int, features: np.ndarray) -> float:

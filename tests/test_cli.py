@@ -132,10 +132,11 @@ class TestFuseCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_labeled_objects_keep_their_labels(self, sim_dir, tmp_path):
+    @pytest.mark.parametrize("algo", ["erm", "em", "majority", "counts", "auto"])
+    def test_labeled_objects_keep_their_labels(self, sim_dir, tmp_path, algo):
         out = tmp_path / "r.json"
         run("fuse", "--observations", sim_dir / "observations.csv",
-            "--truth", sim_dir / "truth.csv", "--algo", "erm", "--out", out)
+            "--truth", sim_dir / "truth.csv", "--algo", algo, "--out", out)
         result = json.loads(out.read_text())
         truth_rows = (sim_dir / "truth.csv").read_text().splitlines()[1:]
         for row in truth_rows:
@@ -275,6 +276,31 @@ class TestPredictSourcesCommand:
         assert preds["new1"] == pytest.approx(
             1.0 / (1.0 + math.exp(-w["f0"])), abs=1e-9
         )
+
+    def test_empty_features_file_is_error(self, tmp_path):
+        weights_file = tmp_path / "w.json"
+        weights_file.write_text(json.dumps({"weights": {"features": {}}}))
+        feats = tmp_path / "f.csv"
+        feats.write_text("")
+        code = run("predict-sources", "--weights", weights_file,
+                   "--features", feats, "--out", tmp_path / "p.json")
+        assert code == 1
+
+    @pytest.mark.parametrize("row", ["n1,nan,1", "n1,1"])
+    def test_bad_feature_row_names_file_and_line(self, tmp_path, capsys, row):
+        weights_file = tmp_path / "w.json"
+        weights_file.write_text(
+            json.dumps({"weights": {"features": {"f0": 1.0, "f1": 2.0}}})
+        )
+        feats = tmp_path / "f.csv"
+        feats.write_text(f"source_id,f0,f1\nn0,1,1\n{row}\n")
+        out = tmp_path / "p.json"
+        code = run("predict-sources", "--weights", weights_file,
+                   "--features", feats, "--out", out)
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "f.csv" in err and "line 3" in err
 
     def test_unknown_feature_column_is_error(self, tmp_path):
         weights_file = tmp_path / "w.json"

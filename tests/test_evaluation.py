@@ -35,16 +35,17 @@ class TestObjectAccuracy:
 class TestEmpiricalAccuracies:
     def test_counts_per_observation(self):
         triples = [
-            (0, 0, "a"), (1, 0, "b"), (2, 0, "a"),
-            (0, 1, "a"), (1, 1, "c"),
+            (0, 0, "a"), (1, 0, "b"), (2, 0, "a"), (3, 0, "x"),
+            (0, 1, "a"), (1, 1, "c"), (3, 1, "y"),
         ]
         inst = FusionInstance.from_triples(
-            ["s0", "s1"], ["o0", "o1", "o2"], triples
+            ["s0", "s1"], ["o0", "o1", "o2", "o3"], triples
         )
-        truth = GroundTruth({0: "a", 1: "b", 2: "a"})
+        # No source reported o3's true value, so both reporters are wrong.
+        truth = GroundTruth({0: "a", 1: "b", 2: "a", 3: "z"})
         acc = empirical_accuracies(inst, truth)
-        assert acc["s0"] == pytest.approx(1.0)
-        assert acc["s1"] == pytest.approx(0.5)
+        assert acc["s0"] == pytest.approx(3 / 4)
+        assert acc["s1"] == pytest.approx(1 / 3)
 
     def test_requires_full_truth(self):
         inst = FusionInstance.from_triples(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from trustfuse import FusionInstance, GroundTruth, InstanceError
+from trustfuse import FusionInstance, GroundTruth, InstanceError, correctness_counts
+
+from conftest import random_instance
 
 
 def make_basic():
@@ -88,3 +90,24 @@ def test_equality_roundtrip_through_triples():
         inst.sources, inst.objects, inst.triples(), inst.features, inst.feature_names
     )
     assert rebuilt == inst
+
+
+def test_correctness_counts_match_loop_over_observations(rng):
+    for _ in range(30):
+        inst = random_instance(rng)
+        labels = {}
+        for o in range(inst.n_objects):
+            u = rng.random()
+            if u < 0.2:
+                labels[o] = "unreported"
+            elif u < 0.7:
+                labels[o] = inst.domains[o][rng.integers(len(inst.domains[o]))]
+        correct, total = correctness_counts(inst, GroundTruth(labels))
+        ref_correct = np.zeros(inst.n_sources)
+        ref_total = np.zeros(inst.n_sources)
+        for o, s, value in inst.triples():
+            if o in labels:
+                ref_total[s] += 1
+                ref_correct[s] += value == labels[o]
+        assert np.array_equal(correct, ref_correct)
+        assert np.array_equal(total, ref_total)
