@@ -4,18 +4,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .instance import FusionInstance, GroundTruth, correctness_counts
-from .model import argmax_with_ties
+from .instance import FusionInstance, GroundTruth, label_correctness_counts
+from .model import _argmax_candidates, argmax_with_ties
 
 __all__ = ["majority_vote", "counts_fit", "counts_infer"]
 
 
 def majority_vote(instance: FusionInstance, seed: int = 0) -> dict[str, str]:
     """Most frequent observed value per object; ties broken per seed."""
-    counts = np.zeros(instance.n_candidates)
-    np.add.at(counts, instance.obs_cand, 1.0)
     rng = np.random.default_rng(seed)
-    return argmax_with_ties(counts, instance, rng)
+    return argmax_with_ties(_vote_counts(instance), instance, rng)
+
+
+def _majority_candidates(instance: FusionInstance, seed: int = 0) -> np.ndarray:
+    """`majority_vote` as the flat candidate index picked per object."""
+    rng = np.random.default_rng(seed)
+    return _argmax_candidates(_vote_counts(instance), instance, rng)
+
+
+def _vote_counts(instance: FusionInstance) -> np.ndarray:
+    return np.bincount(instance.obs_cand, minlength=instance.n_candidates)
 
 
 def counts_fit(
@@ -29,8 +37,9 @@ def counts_fit(
     """
     if smoothing < 0:
         raise ValueError("smoothing must be non-negative")
-    ground_truth.validate(instance)
-    correct, total = correctness_counts(instance, ground_truth)
+    correct, total = label_correctness_counts(
+        instance, ground_truth.validate(instance)
+    )
     acc = np.full(instance.n_sources, 0.5)
     seen = total > 0
     acc[seen] = (correct[seen] + smoothing) / (total[seen] + 2.0 * smoothing)
@@ -51,9 +60,15 @@ def counts_infer(
     # Per observation: log((1 - A_s) / max(|D_o| - 1, 1)).
     wrong_div = np.maximum(dom_sizes[instance.obs_object] - 1, 1)
     log_wrong = np.log(1.0 - acc[instance.obs_source]) - np.log(wrong_div)
-    base = np.zeros(instance.n_objects)
-    np.add.at(base, instance.obs_object, log_wrong)
-    scores = base[instance.cand_object].copy()
-    np.add.at(scores, instance.obs_cand, log_a[instance.obs_source] - log_wrong)
+    base = np.bincount(
+        instance.obs_object, weights=log_wrong, minlength=instance.n_objects
+    )
+    # Each candidate starts from its object's base, then adds its reporters'
+    # terms in observation order: one bincount over both, in that order.
+    slots = np.concatenate([np.arange(instance.n_candidates), instance.obs_cand])
+    terms = np.concatenate(
+        [base[instance.cand_object], log_a[instance.obs_source] - log_wrong]
+    )
+    scores = np.bincount(slots, weights=terms, minlength=instance.n_candidates)
     rng = np.random.default_rng(seed)
     return argmax_with_ties(scores, instance, rng)

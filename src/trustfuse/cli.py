@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -174,9 +175,29 @@ def _run_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _feature_weight(path: str, name: str, value) -> float:
+    """A feature weight read from a weights file, as a finite float."""
+    try:
+        weight = float(value)
+    except (TypeError, ValueError):
+        weight = math.nan
+    if not math.isfinite(weight):
+        raise InstanceError(
+            f"{path}: weight of feature {name!r} must be a finite number, "
+            f"got {value!r}"
+        )
+    return weight
+
+
 def _run_predict_sources(args: argparse.Namespace) -> int:
-    payload = json.loads(Path(args.weights).read_text(encoding="utf-8"))
-    feature_weights = payload.get("weights", {}).get("features", {})
+    try:
+        payload = json.loads(Path(args.weights).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"{args.weights}: not valid JSON ({exc})") from None
+    weights = payload.get("weights", {}) if isinstance(payload, dict) else None
+    feature_weights = weights.get("features", {}) if isinstance(weights, dict) else None
+    if not isinstance(feature_weights, dict):
+        raise InstanceError(f"{args.weights}: no weights.features object")
     with open(args.features, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader, [])]
@@ -190,7 +211,9 @@ def _run_predict_sources(args: argparse.Namespace) -> int:
             )
         w = WeightVector(
             source_intercepts=np.zeros(0),
-            feature_weights=np.array([feature_weights[n] for n in names]),
+            feature_weights=np.array(
+                [_feature_weight(args.weights, n, feature_weights[n]) for n in names]
+            ),
         )
         preds = {}
         for lineno, row in enumerate(reader, start=2):

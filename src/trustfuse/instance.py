@@ -14,7 +14,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["FusionInstance", "GroundTruth", "InstanceError", "correctness_counts"]
+__all__ = [
+    "FusionInstance",
+    "GroundTruth",
+    "InstanceError",
+    "correctness_counts",
+    "label_correctness_counts",
+]
 
 # Entries of GroundTruth.label_candidates that are not candidate indices.
 _UNLABELLED = -1
@@ -159,11 +165,14 @@ class FusionInstance:
         return np.repeat(np.arange(self.n_objects), self.cand_counts)
 
     @cached_property
+    def cand_values(self) -> tuple[str, ...]:
+        """Value of each flat candidate slot."""
+        return tuple(v for dom in self.domains for v in dom)
+
+    @cached_property
     def obs_counts(self) -> np.ndarray:
         """Number of observing sources per object."""
-        counts = np.zeros(self.n_objects, dtype=np.int64)
-        np.add.at(counts, self.obs_object, 1)
-        return counts
+        return np.bincount(self.obs_object, minlength=self.n_objects)
 
     @cached_property
     def _obs_by_object(self) -> tuple[np.ndarray, np.ndarray]:
@@ -179,9 +188,7 @@ class FusionInstance:
 
     @cached_property
     def source_obs_counts(self) -> np.ndarray:
-        counts = np.zeros(self.n_sources, dtype=np.int64)
-        np.add.at(counts, self.obs_source, 1)
-        return counts
+        return np.bincount(self.obs_source, minlength=self.n_sources)
 
     @cached_property
     def pair_events(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -310,15 +317,21 @@ class GroundTruth:
             )
         return idx
 
-    def validate(self, instance: FusionInstance) -> None:
-        """Check labels name valid objects and values inside their domain."""
-        unreported = np.flatnonzero(self.label_candidates(instance) == _UNREPORTED)
+    def validate(self, instance: FusionInstance) -> np.ndarray:
+        """Check labels name valid objects and values inside their domain.
+
+        Returns the `label_candidates` index, so callers need no second pass
+        over the labels.
+        """
+        idx = self.label_candidates(instance)
+        unreported = np.flatnonzero(idx == _UNREPORTED)
         if unreported.size:
             o = int(unreported[0])
             raise InstanceError(
                 f"ground-truth value {self.labels[o]!r} for object "
                 f"{instance.objects[o]!r} was not reported by any source"
             )
+        return idx
 
     def restricted_to_domains(self, instance: FusionInstance) -> "GroundTruth":
         """Drop labels whose value no source reported (closed-world rule)."""
@@ -339,7 +352,14 @@ def correctness_counts(
     An observation is correct when it reports its object's label, so a
     label that no source reported counts as wrong for every reporter.
     """
-    label_cand = labels.label_candidates(instance)[instance.obs_object]
+    return label_correctness_counts(instance, labels.label_candidates(instance))
+
+
+def label_correctness_counts(
+    instance: FusionInstance, label_cand: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`correctness_counts` from a `GroundTruth.label_candidates` index."""
+    label_cand = label_cand[instance.obs_object]
     n = instance.n_sources
     total = np.bincount(instance.obs_source[label_cand != _UNLABELLED], minlength=n)
     correct = np.bincount(

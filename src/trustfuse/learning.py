@@ -13,15 +13,16 @@ from typing import Callable
 
 import numpy as np
 
-from .baselines import majority_vote
-from .instance import FusionInstance, GroundTruth, correctness_counts
+from .baselines import _majority_candidates
+from .instance import FusionInstance, GroundTruth, label_correctness_counts
 from .model import (
     Diagnostics,
     PosteriorTable,
     WeightVector,
-    argmax_with_ties,
     candidate_scores,
     posterior_all,
+    _argmax_candidates,
+    _candidate_scores,
     _softmax_by_object,
 )
 
@@ -99,6 +100,13 @@ class _Layout:
             pair_weights=pair_weights,
         )
 
+    def trust_scores(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """`WeightVector.trust_scores` straight from the flat vector."""
+        sigma = x[: self.n_s]
+        if self.n_k:
+            sigma = sigma + features @ x[self.n_s : self.n_s + self.n_k]
+        return sigma
+
     def l1_weights(self, lam: float) -> np.ndarray:
         v = np.zeros(self.size)
         v[self.n_s : self.n_s + self.n_k] = lam
@@ -118,10 +126,13 @@ class _Layout:
 
 def one_hot_targets(instance: FusionInstance, labels: GroundTruth) -> np.ndarray:
     """Flat candidate target mass: 1 at each labeled object's true value."""
-    labels.validate(instance)
-    idx = labels.label_candidates(instance)
+    idx = labels.validate(instance)
+    return _one_hot(instance, idx[idx >= 0])
+
+
+def _one_hot(instance: FusionInstance, cands: np.ndarray) -> np.ndarray:
     t = np.zeros(instance.n_candidates)
-    t[idx[idx >= 0]] = 1.0
+    t[cands] = 1.0
     return t
 
 
@@ -137,15 +148,18 @@ def _object_smooth_loss(
     incl_cand = obj_weight[instance.cand_object]
 
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        w = layout.unpack(x)
-        scores = candidate_scores(instance, w)
-        probs = _softmax_by_object(scores, instance.cand_offsets)
+        sigma = layout.trust_scores(x, instance.features)
+        scores = _candidate_scores(instance, sigma, x[layout.n_s + layout.n_k :])
+        probs = _softmax_by_object(scores, instance)
         logp = np.log(np.maximum(probs, 1e-300))
         loss = -float(targets @ logp)
         residual = incl_cand * probs - targets
         grad = np.zeros_like(x)
-        g_sigma = np.zeros(instance.n_sources)
-        np.add.at(g_sigma, instance.obs_source, residual[instance.obs_cand])
+        g_sigma = np.bincount(
+            instance.obs_source,
+            weights=residual[instance.obs_cand],
+            minlength=instance.n_sources,
+        )
         grad[: layout.n_s] = g_sigma
         if layout.n_k:
             grad[layout.n_s : layout.n_s + layout.n_k] = instance.features.T @ g_sigma
@@ -176,8 +190,9 @@ def object_loss_and_grad(
     step and is non-smooth at zero.
     """
     layout = _Layout(instance)
-    obj_weight = np.zeros(instance.n_objects)
-    np.add.at(obj_weight, instance.cand_object, targets)
+    obj_weight = np.bincount(
+        instance.cand_object, weights=targets, minlength=instance.n_objects
+    )
     fg = _object_smooth_loss(instance, targets, obj_weight, l2, layout)
     loss, grad = fg(layout.pack(w))
     return loss, layout.unpack(grad)
@@ -194,8 +209,7 @@ def _observation_smooth_loss(
     ridge = layout.ridge_mask()
 
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        w = layout.unpack(x)
-        eta = w.trust_scores(instance.features)
+        eta = layout.trust_scores(x, instance.features)
         # log(A) = -log(1 + e^-eta), log(1 - A) = -eta - log(1 + e^-eta)
         log_a = -np.logaddexp(0.0, -eta)
         log_1ma = -eta + log_a
@@ -220,9 +234,8 @@ def observation_loss_and_grad(
     l2: float = 0.0,
 ) -> tuple[float, WeightVector]:
     """Smooth part of the observation objective and its gradient at ``w``."""
-    labels.validate(instance)
     layout = _Layout(instance)
-    correct, total = correctness_counts(instance, labels)
+    correct, total = label_correctness_counts(instance, labels.validate(instance))
     fg = _observation_smooth_loss(instance, correct, total, l2, layout)
     loss, grad = fg(layout.pack(w))
     return loss, layout.unpack(grad)
@@ -250,43 +263,50 @@ def proximal_fit(
 
     Accepts a step only when the full objective does not increase (monotone
     FISTA with restart on backtracking), so the returned objective never
-    exceeds the initial one.
+    exceeds the initial one. fg runs once per distinct point: the last
+    accepted point keeps its objective and gradient, and they are reused
+    whenever the point to evaluate is bit for bit that point (the first
+    iteration, a restart, the iteration after a restart).
     """
 
-    def full_obj(x: np.ndarray, f: float | None = None) -> float:
-        if f is None:
-            f = fg(x)[0]
+    def full_obj(x: np.ndarray, f: float) -> float:
         return f + float(l1 @ np.abs(x))
 
+    def evaluate(p: np.ndarray) -> tuple[float, np.ndarray]:
+        return (f_x, g_x) if p.tobytes() == x.tobytes() else fg(p)
+
     x = x0.copy()
-    obj = full_obj(x)
-    y = x.copy()
+    f_x, g_x = fg(x)
+    if not (np.isfinite(f_x) and np.all(np.isfinite(g_x))):
+        raise ValueError("non-finite objective or gradient at the initial point")
+    obj = full_obj(x, f_x)
+    y = x
     t_k = 1.0
     step = step_size
     iters = 0
     converged = max_iters == 0
     for iters in range(1, max_iters + 1):
-        f_y, g_y = fg(y)
+        g_y = evaluate(y)[1]
         accepted = False
         for _ in range(60):
             cand = _soft_threshold(y - step * g_y, step * l1)
-            cand_obj = full_obj(cand)
+            f_c, g_c = evaluate(cand)
+            cand_obj = full_obj(cand, f_c)
             if np.isfinite(cand_obj) and cand_obj <= obj + 1e-12 * (1.0 + abs(obj)):
                 accepted = True
                 break
             step *= 0.5
             if not np.array_equal(y, x):
                 # Momentum overshoot: restart from the last accepted point.
-                y = x.copy()
+                y, g_y = x, g_x
                 t_k = 1.0
-                f_y, g_y = fg(y)
         if not accepted:
             converged = True
             break
         delta = obj - cand_obj
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
         y = cand + ((t_k - 1.0) / t_next) * (cand - x)
-        x, obj, t_k = cand, cand_obj, t_next
+        x, f_x, g_x, obj, t_k = cand, f_c, g_c, cand_obj, t_next
         step = min(step * 1.2, step_size)
         if delta < tol:
             converged = True
@@ -309,8 +329,9 @@ def fit_weights(
     targets = np.asarray(targets, dtype=float)
     if targets.shape != (instance.n_candidates,):
         raise ValueError("targets must be a flat candidate array")
-    obj_weight = np.zeros(instance.n_objects)
-    np.add.at(obj_weight, instance.cand_object, targets)
+    obj_weight = np.bincount(
+        instance.cand_object, weights=targets, minlength=instance.n_objects
+    )
     if not np.any(obj_weight > 0):
         raise ValueError("targets must cover at least one object")
     layout = _Layout(instance)
@@ -318,9 +339,6 @@ def fit_weights(
     fg = _object_smooth_loss(
         instance, targets, obj_weight, config.l2_intercept_penalty, layout
     )
-    f0, g0 = fg(x0)
-    if not (np.isfinite(f0) and np.all(np.isfinite(g0))):
-        raise ValueError("non-finite objective or gradient at the initial point")
     x, diag = proximal_fit(
         x0,
         fg,
@@ -354,9 +372,10 @@ def fit_erm_observation(
     """Regularized logistic regression on observation-correctness labels."""
     if len(ground_truth) == 0:
         raise ValueError("ERM requires at least one labeled object")
-    ground_truth.validate(instance)
     layout = _Layout(instance)
-    correct, total = correctness_counts(instance, ground_truth)
+    correct, total = label_correctness_counts(
+        instance, ground_truth.validate(instance)
+    )
     fg = _observation_smooth_loss(
         instance, correct, total, config.l2_intercept_penalty, layout
     )
@@ -408,13 +427,6 @@ def em_free_energy(
     return value - _penalties(w, config)
 
 
-def _clamp_targets(
-    q: np.ndarray, hard_targets: np.ndarray, clamped_cand: np.ndarray
-) -> np.ndarray:
-    out = np.where(clamped_cand, hard_targets, q)
-    return out
-
-
 def fit_em(
     instance: FusionInstance,
     ground_truth: GroundTruth,
@@ -428,27 +440,27 @@ def fit_em(
     free energy improves by less than ``objective_tol``.
     """
     soft = config.algorithm == EM_SOFT
-    label_targets = one_hot_targets(instance, ground_truth)
-    clamped_obj = np.zeros(instance.n_objects, dtype=bool)
-    for o in ground_truth.labels:
-        clamped_obj[o] = True
+    label_cand = ground_truth.validate(instance)
+    clamped_obj = label_cand >= 0
+    free_obj = ~clamped_obj
+    label_targets = _one_hot(instance, label_cand[clamped_obj])
     clamped_cand = clamped_obj[instance.cand_object]
 
-    init_values = majority_vote(instance, seed=config.seed)
-    assign = _values_to_targets(instance, init_values)
-    q = _clamp_targets(assign, label_targets, clamped_cand)
+    # Hard assignments as one flat candidate per object, labels clamped.
+    picks = _majority_candidates(instance, seed=config.seed)
+    q = _one_hot(instance, np.where(clamped_obj, label_cand, picks))
 
     inner = replace(config, algorithm=ERM_OBJECT)
     w = WeightVector.zeros(instance)
     history: list[float] = []
     converged = False
     outer = 0
-    n_unlabeled = int((~clamped_obj).sum())
+    n_unlabeled = int(free_obj.sum())
     for outer in range(1, config.max_outer_iters + 1):
         w, m_diag = fit_weights(instance, q, inner, init=w)
-        table = posterior_all(instance, w)
         if soft:
-            q_new = _clamp_targets(table.probs, label_targets, clamped_cand)
+            table = posterior_all(instance, w)
+            q_new = np.where(clamped_cand, label_targets, table.probs)
             free_energy = em_free_energy(instance, q_new, w, config, clamped_obj)
             history.append(free_energy)
             if len(history) >= 2 and free_energy - history[-2] < config.objective_tol:
@@ -458,12 +470,11 @@ def fit_em(
             q = q_new
         else:
             rng = np.random.default_rng((config.seed, outer))
-            values = argmax_with_ties(candidate_scores(instance, w), instance, rng)
-            new_assign = _values_to_targets(instance, values)
-            new_assign = _clamp_targets(new_assign, label_targets, clamped_cand)
-            flips = _count_flips(instance, q, new_assign, ~clamped_obj)
+            new_picks = _argmax_candidates(candidate_scores(instance, w), instance, rng)
+            flips = int(np.count_nonzero((new_picks != picks) & free_obj))
             history.append(m_diag.objective)
-            q = new_assign
+            picks = new_picks
+            q = _one_hot(instance, np.where(clamped_obj, label_cand, picks))
             if n_unlabeled == 0 or flips <= config.label_change_tol * n_unlabeled:
                 converged = True
                 break
@@ -476,25 +487,3 @@ def fit_em(
         history=tuple(history),
     )
     return w, table, diag
-
-
-def _values_to_targets(
-    instance: FusionInstance, values: dict[str, str]
-) -> np.ndarray:
-    t = np.zeros(instance.n_candidates)
-    for o in range(instance.n_objects):
-        value = values[instance.objects[o]]
-        t[instance.cand_offsets[o] + instance.domains[o].index(value)] = 1.0
-    return t
-
-
-def _count_flips(
-    instance: FusionInstance,
-    old: np.ndarray,
-    new: np.ndarray,
-    free_obj: np.ndarray,
-) -> int:
-    changed_cand = old != new
-    changed_obj = np.zeros(instance.n_objects, dtype=bool)
-    np.logical_or.at(changed_obj, instance.cand_object, changed_cand)
-    return int(np.count_nonzero(changed_obj & free_obj))

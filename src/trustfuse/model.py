@@ -139,35 +139,61 @@ def candidate_scores(instance: FusionInstance, w: WeightVector) -> np.ndarray:
     reporting d, plus, for every registered copying pair agreeing on a value
     u for o, the pair weight added to every candidate except u.
     """
+    pair_weights = np.array(
+        [w.pair_weights.get(p, 0.0) for p in instance.pairs], dtype=float
+    )
     sigma = w.trust_scores(instance.features)
-    scores = np.zeros(instance.n_candidates)
-    np.add.at(scores, instance.obs_cand, sigma[instance.obs_source])
+    return _candidate_scores(instance, sigma, pair_weights)
+
+
+def _candidate_scores(
+    instance: FusionInstance, sigma: np.ndarray, pair_weights: np.ndarray
+) -> np.ndarray:
+    """`candidate_scores` from per-source trust scores and pair weights.
+
+    bincount adds each candidate's trust scores in observation order, the
+    same additions as a scatter-add.
+    """
+    scores = np.bincount(
+        instance.obs_cand,
+        weights=sigma[instance.obs_source],
+        minlength=instance.n_candidates,
+    )
     if instance.pairs:
         ev_obj, ev_cand, ev_pair = instance.pair_events
         if ev_obj.size:
-            pw = np.array(
-                [w.pair_weights.get(p, 0.0) for p in instance.pairs], dtype=float
-            )
+            pw = pair_weights[ev_pair]
             per_object = np.zeros(instance.n_objects)
-            np.add.at(per_object, ev_obj, pw[ev_pair])
+            np.add.at(per_object, ev_obj, pw)
             scores += per_object[instance.cand_object]
-            np.subtract.at(scores, ev_cand, pw[ev_pair])
+            np.subtract.at(scores, ev_cand, pw)
     return scores
 
 
-def _softmax_by_object(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    starts = offsets[:-1]
-    counts = np.diff(offsets)
-    seg_max = np.maximum.reduceat(scores, starts)
-    shifted = scores - np.repeat(seg_max, counts)
-    ex = np.exp(shifted)
-    seg_sum = np.add.reduceat(ex, starts)
-    return ex / np.repeat(seg_sum, counts)
+def _object_max(values: np.ndarray, instance: FusionInstance) -> np.ndarray:
+    """Largest candidate value of each object."""
+    best = np.full(instance.n_objects, -np.inf)
+    np.maximum.at(best, instance.cand_object, values)
+    return best
+
+
+def _softmax_by_object(scores: np.ndarray, instance: FusionInstance) -> np.ndarray:
+    cand_object = instance.cand_object
+    ex = np.exp(scores - _object_max(scores, instance)[cand_object])
+    # Each object's normaliser adds its first term to the in-order sum of
+    # the rest. Up to 8 values these are the additions np.add.reduceat
+    # makes, which the tests hold as the reference bit for bit; wider
+    # domains can differ from it in the last ulp.
+    first = instance.cand_offsets[:-1]
+    rest = ex.copy()
+    rest[first] = 0.0
+    norm = ex[first] + np.bincount(cand_object, weights=rest, minlength=first.size)
+    return ex / norm[cand_object]
 
 
 def posterior_all(instance: FusionInstance, w: WeightVector) -> PosteriorTable:
     """Exact posterior over candidates for every object."""
-    probs = _softmax_by_object(candidate_scores(instance, w), instance.cand_offsets)
+    probs = _softmax_by_object(candidate_scores(instance, w), instance)
     return PosteriorTable(probs=probs, offsets=instance.cand_offsets.copy())
 
 
@@ -190,15 +216,33 @@ def argmax_with_ties(
     ties, so two score functions with identical tie structure and a shared
     seed break ties identically.
     """
-    out: dict[str, str] = {}
-    offsets = instance.cand_offsets
-    for o in range(instance.n_objects):
-        row = values[offsets[o] : offsets[o + 1]]
-        best = row.max()
-        ties = np.flatnonzero(row >= best - tol)
-        idx = int(ties[0]) if ties.size == 1 else int(ties[rng.integers(ties.size)])
-        out[instance.objects[o]] = instance.domains[o][idx]
-    return out
+    picks = _argmax_candidates(values, instance, rng, tol)
+    cand_values = instance.cand_values
+    return dict(zip(instance.objects, [cand_values[c] for c in picks.tolist()]))
+
+
+def _argmax_candidates(
+    values: np.ndarray,
+    instance: FusionInstance,
+    rng: np.random.Generator,
+    tol: float = SCORE_TIE_TOL,
+) -> np.ndarray:
+    """`argmax_with_ties` as the flat candidate index picked per object.
+
+    An object whose candidates tie within ``tol`` of its best draws
+    ``rng.integers(n_ties)`` among them; tied objects draw in object order.
+    """
+    best = _object_max(values, instance)
+    ties = np.flatnonzero(values >= (best - tol)[instance.cand_object])
+    n_ties = np.bincount(instance.cand_object[ties], minlength=instance.n_objects)
+    if not np.all(n_ties):
+        raise ValueError("candidate values must not be NaN")
+    first = np.zeros(instance.n_objects + 1, dtype=np.int64)
+    np.cumsum(n_ties, out=first[1:])
+    picks = ties[first[:-1]]
+    for o in np.flatnonzero(n_ties > 1).tolist():
+        picks[o] = ties[first[o] + rng.integers(int(n_ties[o]))]
+    return picks
 
 
 def map_values(

@@ -39,20 +39,29 @@ class OptimizerDecision:
 def agreement_matrix(instance: FusionInstance) -> np.ndarray:
     """Mean pairwise agreement-minus-disagreement; 0 where no overlap."""
     n = instance.n_sources
+    # Observations in object order, and each object's block in that order.
+    order, bounds = instance._obs_by_object
+    peer_source = instance.obs_source[order]
+    peer_value = instance.obs_value_idx[order]
     num = np.zeros((n, n))
     cnt = np.zeros((n, n))
-    for o in range(instance.n_objects):
-        rows = instance.observers_of(o)
-        if rows.size < 2:
-            continue
-        srcs = instance.obs_source[rows]
-        vals = instance.obs_value_idx[rows]
-        sign = np.where(np.equal.outer(vals, vals), 1.0, -1.0)
-        ix = np.ix_(srcs, srcs)
-        num[ix] += sign
-        cnt[ix] += 1.0
-    with np.errstate(invalid="ignore"):
-        x = np.where(cnt > 0, num / np.maximum(cnt, 1.0), 0.0)
+    by_source = np.argsort(instance.obs_source, kind="stable")
+    source_bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(instance.source_obs_counts, out=source_bounds[1:])
+    for s in range(n):
+        # Every observation of every object that source s observes, with
+        # the value s reported for that object beside it.
+        mine = by_source[source_bounds[s] : source_bounds[s + 1]]
+        objs = instance.obs_object[mine]
+        sizes = instance.obs_counts[objs]
+        block_start = np.repeat(bounds[objs] - np.cumsum(sizes) + sizes, sizes)
+        rows = block_start + np.arange(block_start.size)
+        same = peer_value[rows] == np.repeat(instance.obs_value_idx[mine], sizes)
+        peers = peer_source[rows]
+        cnt[s] = np.bincount(peers, minlength=n)
+        num[s] = 2 * np.bincount(peers[same], minlength=n) - cnt[s]
+    # num is 0 wherever cnt is, so pairs with no overlap get 0.
+    x = num / np.maximum(cnt, 1.0)
     np.fill_diagonal(x, 0.0)
     return x
 
@@ -67,10 +76,14 @@ def estimate_avg_accuracy(instance: FusionInstance) -> float:
     return float(np.clip((mu_hat + 1.0) / 2.0, 0.5, 1.0))
 
 
-def _entropy_bits(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+def _entropy_bits(p):
+    """Binary entropy in bits, 0 outside (0, 1); elementwise on arrays."""
+    p = np.asarray(p, dtype=float)
+    h = np.zeros_like(p)
+    mixed = (p > 0.0) & (p < 1.0)
+    q = p[mixed]
+    h[mixed] = -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
+    return h if h.ndim else float(h)
 
 
 def em_units(
@@ -84,29 +97,30 @@ def em_units(
     """
     if not (0.0 < avg_accuracy < 1.0):
         raise ValueError("average accuracy must lie strictly in (0, 1)")
-    total = 0.0
-    m_arr = instance.obs_counts
-    d_arr = instance.cand_counts
-    for m, d in zip(m_arr, d_arr):
-        p_e = majority_success_probability(int(m), int(d), avg_accuracy)
-        if p_e >= 0.5:
-            gain = 1.0 - _entropy_bits(p_e)
-            total += (int(m) if per_observer else 1) * gain
-    return total
+    m = instance.obs_counts
+    p_e = majority_success_probability(m, instance.cand_counts, avg_accuracy)
+    useful = p_e >= 0.5
+    gains = (m[useful] if per_observer else 1) * (1.0 - _entropy_bits(p_e[useful]))
+    # cumsum adds one object at a time in object order; np.sum would pair
+    # terms up and round differently.
+    return float(np.cumsum(gains)[-1]) if gains.size else 0.0
 
 
-def majority_success_probability(m: int, domain_size: int, accuracy: float) -> float:
+def majority_success_probability(m, domain_size, accuracy: float):
     """P(majority vote is correct): upper binomial tail past floor(m/|D|).
 
     The threshold is capped at m - 1 so a domain observed with a single
     distinct value degenerates to the plain per-source success probability.
+    Elementwise on arrays of ``m`` and ``domain_size``.
     """
-    if m < 1 or domain_size < 1:
+    m, domain_size = np.asarray(m), np.asarray(domain_size)
+    if np.any(m < 1) or np.any(domain_size < 1):
         raise ValueError("object must have observations and a non-empty domain")
-    k = min(m // domain_size, m - 1)
+    k = np.minimum(m // domain_size, m - 1)
     # Survival function of Binomial(m, accuracy) at k, computed via the
     # regularized incomplete beta function (stable for m up to 1e4+).
-    return float(special.bdtrc(k, m, accuracy))
+    p = special.bdtrc(k, m, accuracy)
+    return p if p.ndim else float(p)
 
 
 def ground_truth_units(instance: FusionInstance, ground_truth: GroundTruth) -> float:

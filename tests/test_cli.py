@@ -302,6 +302,33 @@ class TestPredictSourcesCommand:
         err = capsys.readouterr().err
         assert "f.csv" in err and "line 3" in err
 
+    @pytest.mark.parametrize(
+        "weights, feature",
+        [
+            ('{"weights": {"features": {"f0": NaN}}}', "f0"),
+            ('{"weights": {"features": {"f0": "heavy"}}}', "f0"),
+            ('{"weights": {"features": {"f0": 1.0,}}}', None),
+            ('[{"features": {"f0": 1.0}}]', None),
+        ],
+        ids=["nan", "string", "malformed", "not-an-object"],
+    )
+    def test_bad_weights_file_names_file_and_feature(
+        self, tmp_path, capsys, weights, feature
+    ):
+        weights_file = tmp_path / "w.json"
+        weights_file.write_text(weights)
+        feats = tmp_path / "f.csv"
+        feats.write_text("source_id,f0\nn0,1\n")
+        out = tmp_path / "p.json"
+        code = run("predict-sources", "--weights", weights_file,
+                   "--features", feats, "--out", out)
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "w.json" in err
+        if feature:
+            assert repr(feature) in err
+
     def test_unknown_feature_column_is_error(self, tmp_path):
         weights_file = tmp_path / "w.json"
         weights_file.write_text(json.dumps({"weights": {"features": {"f0": 1.0}}}))

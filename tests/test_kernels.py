@@ -1,0 +1,279 @@
+"""The vectorised kernels against the per-object loops they replaced.
+
+Each reference below is the earlier loop implementation, kept verbatim in
+substance: the kernels must give the same numbers (bit for bit where the
+additions happen in the same order) and consume the rng the same way.
+"""
+
+import numpy as np
+import pytest
+from scipy import special
+
+from trustfuse import (
+    FusionInstance,
+    GroundTruth,
+    WeightVector,
+    add_copying_features,
+    em_units,
+    posterior_all,
+)
+from trustfuse.model import argmax_with_ties, candidate_scores
+from trustfuse.optimizer import agreement_matrix
+from trustfuse.learning import (
+    _Layout,
+    _object_smooth_loss,
+    one_hot_targets,
+    proximal_fit,
+)
+from trustfuse.simulation import SimConfig, generate
+from conftest import random_weights
+
+
+# -- references: the loop implementations the kernels replaced -------------
+
+
+def ref_candidate_scores(instance, w):
+    sigma = w.trust_scores(instance.features)
+    scores = np.zeros(instance.n_candidates)
+    np.add.at(scores, instance.obs_cand, sigma[instance.obs_source])
+    if instance.pairs:
+        ev_obj, ev_cand, ev_pair = instance.pair_events
+        if ev_obj.size:
+            pw = np.array(
+                [w.pair_weights.get(p, 0.0) for p in instance.pairs], dtype=float
+            )
+            per_object = np.zeros(instance.n_objects)
+            np.add.at(per_object, ev_obj, pw[ev_pair])
+            scores += per_object[instance.cand_object]
+            np.subtract.at(scores, ev_cand, pw[ev_pair])
+    return scores
+
+
+def ref_softmax_by_object(scores, offsets):
+    starts = offsets[:-1]
+    counts = np.diff(offsets)
+    seg_max = np.maximum.reduceat(scores, starts)
+    ex = np.exp(scores - np.repeat(seg_max, counts))
+    return ex / np.repeat(np.add.reduceat(ex, starts), counts)
+
+
+def ref_argmax_with_ties(values, instance, rng, tol=1e-12):
+    out = {}
+    offsets = instance.cand_offsets
+    for o in range(instance.n_objects):
+        row = values[offsets[o] : offsets[o + 1]]
+        best = row.max()
+        ties = np.flatnonzero(row >= best - tol)
+        idx = int(ties[0]) if ties.size == 1 else int(ties[rng.integers(ties.size)])
+        out[instance.objects[o]] = instance.domains[o][idx]
+    return out
+
+
+def ref_agreement_matrix(instance):
+    n = instance.n_sources
+    num = np.zeros((n, n))
+    cnt = np.zeros((n, n))
+    for o in range(instance.n_objects):
+        rows = instance.observers_of(o)
+        if rows.size < 2:
+            continue
+        srcs = instance.obs_source[rows]
+        vals = instance.obs_value_idx[rows]
+        sign = np.where(np.equal.outer(vals, vals), 1.0, -1.0)
+        ix = np.ix_(srcs, srcs)
+        num[ix] += sign
+        cnt[ix] += 1.0
+    with np.errstate(invalid="ignore"):
+        x = np.where(cnt > 0, num / np.maximum(cnt, 1.0), 0.0)
+    np.fill_diagonal(x, 0.0)
+    return x
+
+
+def ref_em_units(instance, avg_accuracy, per_observer=True):
+    def entropy_bits(p):
+        if p <= 0.0 or p >= 1.0:
+            return 0.0
+        return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+
+    total = 0.0
+    for m, d in zip(instance.obs_counts, instance.cand_counts):
+        m, d = int(m), int(d)
+        p_e = float(special.bdtrc(min(m // d, m - 1), m, avg_accuracy))
+        if p_e >= 0.5:
+            total += (m if per_observer else 1) * (1.0 - entropy_bits(p_e))
+    return total
+
+
+def ref_proximal_fit(x0, fg, l1, max_iters, tol, step_size=1.0):
+    """The solver before it reused evaluations; also counts its restarts."""
+    restarts = 0
+
+    def full_obj(x, f=None):
+        if f is None:
+            f = fg(x)[0]
+        return f + float(l1 @ np.abs(x))
+
+    def soft_threshold(x, t):
+        return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+    x = x0.copy()
+    obj = full_obj(x)
+    y = x.copy()
+    t_k = 1.0
+    step = step_size
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        f_y, g_y = fg(y)
+        accepted = False
+        for _ in range(60):
+            cand = soft_threshold(y - step * g_y, step * l1)
+            cand_obj = full_obj(cand)
+            if np.isfinite(cand_obj) and cand_obj <= obj + 1e-12 * (1.0 + abs(obj)):
+                accepted = True
+                break
+            step *= 0.5
+            if not np.array_equal(y, x):
+                y = x.copy()
+                t_k = 1.0
+                restarts += 1
+                f_y, g_y = fg(y)
+        if not accepted:
+            break
+        delta = obj - cand_obj
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
+        y = cand + ((t_k - 1.0) / t_next) * (cand - x)
+        x, obj, t_k = cand, cand_obj, t_next
+        step = min(step * 1.2, step_size)
+        if delta < tol:
+            break
+    return x, iters, obj, restarts
+
+
+# -- instances ---------------------------------------------------------------
+
+
+def simulated(domain, seed, n_sources=30, n_objects=400):
+    sim = generate(
+        SimConfig(
+            n_sources=n_sources,
+            n_objects=n_objects,
+            density=0.15,
+            domain_size=domain,
+            accuracy_mean=0.7,
+            accuracy_spread=0.15,
+            true_weights=(1.5, -0.8),
+            seed=seed,
+        )
+    )
+    return sim.instance, sim.truth.restricted_to_domains(sim.instance)
+
+
+def planted_ties(rng, max_values):
+    """Random integer score table where many objects tie on their best value."""
+    n_o = 300
+    triples = []
+    for o in range(n_o):
+        n_vals = int(rng.integers(1, max_values + 1))
+        observers = rng.permutation(12)[: int(rng.integers(n_vals, 13))]
+        for i, s in enumerate(observers):
+            value = i if i < n_vals else int(rng.integers(n_vals))
+            triples.append((o, int(s), f"v{value}"))
+    inst = FusionInstance.from_triples(
+        [f"s{i}" for i in range(12)], [f"o{i}" for i in range(n_o)], triples
+    )
+    values = rng.integers(0, 3, size=inst.n_candidates).astype(float)
+    # Near ties inside the tolerance count as ties too.
+    values += rng.choice([0.0, 0.0, 1e-13, -1e-13], size=values.size)
+    return inst, values
+
+
+# -- tests -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("max_values", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_argmax_with_ties_matches_loop_and_rng_stream(max_values, seed):
+    rng = np.random.default_rng([max_values, seed])
+    inst, values = planted_ties(rng, max_values)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert argmax_with_ties(values, inst, ours) == ref_argmax_with_ties(
+        values, inst, theirs
+    )
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    if max_values > 1:
+        # Ties were drawn for, so the stream moved.
+        fresh = np.random.default_rng(seed).bit_generator.state
+        assert ours.bit_generator.state != fresh
+
+
+def test_argmax_with_ties_rejects_nan():
+    inst, values = planted_ties(np.random.default_rng(3), 3)
+    values[5] = np.nan
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        argmax_with_ties(values, inst, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("domain", [2, 3, 5])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_agreement_matrix_and_em_units_equal_loops(domain, seed):
+    inst, _ = simulated(domain, seed)
+    assert np.array_equal(agreement_matrix(inst), ref_agreement_matrix(inst))
+    for acc in (0.55, 0.8, 1.0 - 1e-12):
+        for per_observer in (True, False):
+            assert em_units(inst, acc, per_observer) == ref_em_units(
+                inst, acc, per_observer
+            )
+
+
+@pytest.mark.parametrize("domain", [2, 3, 5, 8, 12])
+def test_scores_and_posteriors_match_scatter_reference(domain):
+    inst, _ = simulated(domain, seed=domain)
+    rng = np.random.default_rng(domain)
+    for _ in range(3):
+        w = random_weights(rng, inst)
+        scores = candidate_scores(inst, w)
+        assert np.array_equal(scores, ref_candidate_scores(inst, w))
+        probs = posterior_all(inst, w).probs
+        ref = ref_softmax_by_object(scores, inst.cand_offsets)
+        if domain <= 8:
+            # Normalisers sum in add.reduceat's order up to 8 values.
+            assert np.array_equal(probs, ref)
+        else:
+            np.testing.assert_allclose(probs, ref, rtol=1e-14, atol=0)
+
+
+def test_scores_with_copying_pairs_match_scatter_reference():
+    inst, _ = simulated(3, seed=4, n_sources=12, n_objects=300)
+    inst = add_copying_features(inst, min_overlap=5)
+    assert inst.pairs and inst.pair_events[0].size
+    w = random_weights(np.random.default_rng(4), inst)
+    assert np.array_equal(candidate_scores(inst, w), ref_candidate_scores(inst, w))
+
+
+def test_proximal_fit_evaluates_each_point_once():
+    inst, truth = simulated(3, seed=2)
+    layout = _Layout(inst)
+    labels = GroundTruth(dict(list(truth.labels.items())[:150]))
+    targets = one_hot_targets(inst, labels)
+    obj_weight = np.bincount(
+        inst.cand_object, weights=targets, minlength=inst.n_objects
+    )
+    fg = _object_smooth_loss(inst, targets, obj_weight, 0.01, layout)
+    x0 = layout.pack(WeightVector.zeros(inst))
+    l1 = layout.l1_weights(0.5)
+
+    seen: list[bytes] = []
+
+    def recording_fg(x):
+        seen.append(x.tobytes())
+        return fg(x)
+
+    # A large first step forces backtracking, and momentum overshoots force
+    # restarts, which the reference re-evaluates.
+    args = (l1, 300, 1e-9, 20.0)
+    x, diag = proximal_fit(x0, recording_fg, *args)
+    ref_x, ref_iters, ref_obj, restarts = ref_proximal_fit(x0, fg, *args)
+    assert restarts > 0
+    assert x.tobytes() == ref_x.tobytes()
+    assert (diag.iterations, diag.objective) == (ref_iters, ref_obj)
+    assert len(seen) == len(set(seen))
