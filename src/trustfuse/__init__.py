@@ -19,10 +19,8 @@ from .model import (
     trust_score,
 )
 from .learning import (
-    EM_HARD,
     EM_SOFT,
     ERM_OBJECT,
-    ERM_OBSERVATION,
     LearnConfig,
     fit_em,
     fit_erm_object,
@@ -80,8 +78,6 @@ __all__ = [
     "map_values",
     "LearnConfig",
     "ERM_OBJECT",
-    "ERM_OBSERVATION",
-    "EM_HARD",
     "EM_SOFT",
     "fit_erm_object",
     "fit_erm_observation",

@@ -209,7 +209,6 @@ def estimate_pair_state(
         np.zeros(instance.n_features),
         config.max_inner_iters,
         config.objective_tol,
-        config.step_size,
     )
     acc = _logistic(features @ w)
     accuracies = {instance.sources[s]: float(acc[s]) for s in range(n_s)}

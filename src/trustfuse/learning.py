@@ -1,4 +1,4 @@
-"""Parameter estimation: ERM on labels and hard/soft EM on partial labels.
+"""Parameter estimation: ERM on labels and one-coin EM on partial labels.
 
 All fits run through one monotone accelerated proximal-gradient solver:
 L1 on feature weights is handled by soft-thresholding, the ridge on
@@ -8,28 +8,24 @@ and deterministic for a fixed data order and seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .baselines import _majority_candidates
+from .baselines import _majority_candidates, _vote_counts
 from .instance import FusionInstance, GroundTruth, label_correctness_counts
 from .model import (
     Diagnostics,
     PosteriorTable,
     WeightVector,
-    candidate_scores,
-    posterior_all,
-    _argmax_candidates,
     _candidate_scores,
+    _exp_by_object,
     _softmax_by_object,
 )
 
 __all__ = [
     "ERM_OBJECT",
-    "ERM_OBSERVATION",
-    "EM_HARD",
     "EM_SOFT",
     "LearnConfig",
     "fit_erm_object",
@@ -39,25 +35,26 @@ __all__ = [
     "object_loss_and_grad",
     "observation_loss_and_grad",
     "one_hot_targets",
-    "em_free_energy",
 ]
 
 ERM_OBJECT = "ERM_OBJECT"
-ERM_OBSERVATION = "ERM_OBSERVATION"
-EM_HARD = "EM_HARD"
 EM_SOFT = "EM_SOFT"
 
 
 @dataclass(frozen=True)
 class LearnConfig:
+    """Penalties, iteration limits and seed shared by every fit.
+
+    ``algorithm`` is a label only: no fit reads it, and ``EM_SOFT`` names
+    the one EM that `fit_em` runs.
+    """
+
     algorithm: str = ERM_OBJECT
     l1_feature_penalty: float = 0.0
     l2_intercept_penalty: float = 0.01
     max_outer_iters: int = 100
     max_inner_iters: int = 500
     objective_tol: float = 1e-6
-    label_change_tol: float = 0.0
-    step_size: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -65,8 +62,6 @@ class LearnConfig:
             raise ValueError("penalties must be non-negative")
         if self.max_outer_iters < 1 or self.max_inner_iters < 0:
             raise ValueError("iteration limits must be positive")
-        if self.step_size <= 0:
-            raise ValueError("step size must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +315,11 @@ def fit_weights(
     config: LearnConfig,
     init: WeightVector | None = None,
 ) -> tuple[WeightVector, Diagnostics]:
-    """Shared M-step/ERM solver for the object objective.
+    """Solver for the object objective, the one object-level fit: ERM,
+    copying-pair weights and the lasso path run through it.
 
     ``targets`` is a flat candidate array of per-object label mass (one-hot
-    for hard labels, posterior rows for soft labels); objects with zero mass
-    do not contribute.
+    for labels); objects with zero mass do not contribute.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.shape != (instance.n_candidates,):
@@ -345,7 +340,6 @@ def fit_weights(
         layout.l1_weights(config.l1_feature_penalty),
         config.max_inner_iters,
         config.objective_tol,
-        config.step_size,
     )
     return layout.unpack(x), diag
 
@@ -386,7 +380,6 @@ def fit_erm_observation(
         layout.l1_weights(config.l1_feature_penalty),
         config.max_inner_iters,
         config.objective_tol,
-        config.step_size,
     )
     return layout.unpack(x), diag
 
@@ -396,94 +389,81 @@ def fit_erm_observation(
 # ---------------------------------------------------------------------------
 
 
-def _penalties(w: WeightVector, config: LearnConfig) -> float:
-    ridge = float(np.sum(w.source_intercepts**2)) + float(
-        sum(v * v for v in w.pair_weights.values())
-    )
-    return config.l2_intercept_penalty * ridge + config.l1_feature_penalty * float(
-        np.sum(np.abs(w.feature_weights))
-    )
-
-
-def em_free_energy(
-    instance: FusionInstance,
-    q: np.ndarray,
-    w: WeightVector,
-    config: LearnConfig,
-    clamped: np.ndarray,
-) -> float:
-    """Penalized expected complete-data log-likelihood plus soft-label entropy.
-
-    Non-decreasing across soft-EM outer iterations: the M-step raises it for
-    fixed q, the E-step (q = posterior on unclamped objects) for fixed w.
-    """
-    probs = posterior_all(instance, w).probs
-    logp = np.log(np.maximum(probs, 1e-300))
-    value = float(q @ logp)
-    free = ~clamped[instance.cand_object]
-    qf = q[free]
-    nz = qf > 0
-    value -= float(qf[nz] @ np.log(qf[nz]))
-    return value - _penalties(w, config)
-
-
 def fit_em(
     instance: FusionInstance,
     ground_truth: GroundTruth,
     config: LearnConfig,
 ) -> tuple[WeightVector, PosteriorTable, Diagnostics]:
-    """Hard or soft EM with labeled objects clamped in every E-step.
+    """One-coin EM (Dawid & Skene 1979) with labelled objects clamped.
 
-    The first E-step is majority vote with seeded tie-breaking; weights are
-    warm-started across outer iterations. Hard EM stops when the fraction of
-    flipped labels drops to ``label_change_tol``; soft EM stops when the
-    free energy improves by less than ``objective_tol``.
+    Source s reports an object's true value with probability A_s and
+    otherwise one of its other ``|D_o| - 1`` values uniformly. The E-step is
+    the exact posterior over each object's candidates: the model's scores
+    plus ``log(max(|D_o| - 1, 1))`` per vote. The M-step fits the per-source
+    binomial loss of `fit_erm_observation` to the expected correct counts,
+    warm-started across outer iterations. The first E-step is majority vote
+    with seeded ties.
+
+    ``history`` holds the penalized marginal log-likelihood after each
+    M-step, which does not decrease. EM stops, with ``converged`` set, when
+    it changes by at most ``objective_tol`` relative to its last value, or
+    after one M-step when every object is labelled. The returned table is
+    the last E-step's posterior, with labelled objects clamped.
     """
-    soft = config.algorithm == EM_SOFT
+    if instance.pairs:
+        raise ValueError("fit_em cannot fit copying-pair weights; use fit_erm_object")
     label_cand = ground_truth.validate(instance)
     clamped_obj = label_cand >= 0
-    free_obj = ~clamped_obj
-    label_targets = _one_hot(instance, label_cand[clamped_obj])
+    labelled = label_cand[clamped_obj]
     clamped_cand = clamped_obj[instance.cand_object]
-
-    # Hard assignments as one flat candidate per object, labels clamped.
+    label_targets = _one_hot(instance, labelled)
     picks = _majority_candidates(instance, seed=config.seed)
     q = _one_hot(instance, np.where(clamped_obj, label_cand, picks))
 
-    inner = replace(config, algorithm=ERM_OBJECT)
-    w = WeightVector.zeros(instance)
+    layout = _Layout(instance)
+    l1 = layout.l1_weights(config.l1_feature_penalty)
+    total = instance.source_obs_counts
+    # A wrong vote lands on one of the object's other values, so each vote
+    # scores log(|D_o| - 1) more than under the SLiMFast softmax (0 on
+    # binary domains).
+    log_wrong = np.log(np.maximum(instance.cand_counts - 1, 1))
+    vote_bias = log_wrong[instance.cand_object] * _vote_counts(instance)
+    x = np.zeros(layout.size)
     history: list[float] = []
     converged = False
-    outer = 0
-    n_unlabeled = int(free_obj.sum())
     for outer in range(1, config.max_outer_iters + 1):
-        w, m_diag = fit_weights(instance, q, inner, init=w)
-        if soft:
-            table = posterior_all(instance, w)
-            q_new = np.where(clamped_cand, label_targets, table.probs)
-            free_energy = em_free_energy(instance, q_new, w, config, clamped_obj)
-            history.append(free_energy)
-            if len(history) >= 2 and free_energy - history[-2] < config.objective_tol:
-                q = q_new
-                converged = True
-                break
-            q = q_new
-        else:
-            rng = np.random.default_rng((config.seed, outer))
-            new_picks = _argmax_candidates(candidate_scores(instance, w), instance, rng)
-            flips = int(np.count_nonzero((new_picks != picks) & free_obj))
-            history.append(m_diag.objective)
-            picks = new_picks
-            q = _one_hot(instance, np.where(clamped_obj, label_cand, picks))
-            if n_unlabeled == 0 or flips <= config.label_change_tol * n_unlabeled:
-                converged = True
-                break
-    table = posterior_all(instance, w)
-    final_obj = history[-1] if history else float("nan")
+        correct = np.bincount(
+            instance.obs_source,
+            weights=q[instance.obs_cand],
+            minlength=instance.n_sources,
+        )
+        fg = _observation_smooth_loss(
+            instance, correct, total, config.l2_intercept_penalty, layout
+        )
+        x, _ = proximal_fit(x, fg, l1, config.max_inner_iters, config.objective_tol)
+        sigma = layout.trust_scores(x, instance.features)
+        scores = _candidate_scores(instance, sigma, np.empty(0)) + vote_bias
+        ex, best, norm = _exp_by_object(scores, instance)
+        q = np.where(clamped_cand, label_targets, ex / norm[instance.cand_object])
+        log_lik = (
+            float(np.sum((best + np.log(norm))[~clamped_obj]))
+            + float(np.sum(scores[labelled]))
+            - float(total @ np.logaddexp(0.0, sigma))
+        )
+        penalty = config.l2_intercept_penalty * float(x[: layout.n_s] @ x[: layout.n_s])
+        penalty += float(l1 @ np.abs(x))
+        history.append(log_lik - penalty)
+        settled = len(history) > 1 and abs(history[-1] - history[-2]) <= (
+            config.objective_tol * abs(history[-2])
+        )
+        if settled or clamped_obj.all():
+            converged = True
+            break
     diag = Diagnostics(
         iterations=outer,
-        objective=float(final_obj),
+        objective=history[-1],
         converged=converged,
         history=tuple(history),
     )
-    return w, table, diag
+    table = PosteriorTable(probs=q, offsets=instance.cand_offsets.copy())
+    return layout.unpack(x), table, diag

@@ -178,8 +178,18 @@ def _object_max(values: np.ndarray, instance: FusionInstance) -> np.ndarray:
 
 
 def _softmax_by_object(scores: np.ndarray, instance: FusionInstance) -> np.ndarray:
+    ex, _, norm = _exp_by_object(scores, instance)
+    return ex / norm[instance.cand_object]
+
+
+def _exp_by_object(
+    scores: np.ndarray, instance: FusionInstance
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(score - object max) per candidate, each object's max and the
+    sum of its exponentials: its log-normaliser is ``max + log(sum)``."""
     cand_object = instance.cand_object
-    ex = np.exp(scores - _object_max(scores, instance)[cand_object])
+    best = _object_max(scores, instance)
+    ex = np.exp(scores - best[cand_object])
     # Each object's normaliser adds its first term to the in-order sum of
     # the rest. Up to 8 values these are the additions np.add.reduceat
     # makes, which the tests hold as the reference bit for bit; wider
@@ -188,7 +198,7 @@ def _softmax_by_object(scores: np.ndarray, instance: FusionInstance) -> np.ndarr
     rest = ex.copy()
     rest[first] = 0.0
     norm = ex[first] + np.bincount(cand_object, weights=rest, minlength=first.size)
-    return ex / norm[cand_object]
+    return ex, best, norm
 
 
 def posterior_all(instance: FusionInstance, w: WeightVector) -> PosteriorTable:

@@ -143,6 +143,24 @@ class TestFuseCommand:
             obj, value = row.split(",")
             assert result["values"][obj] == value
 
+    def test_em_on_five_value_domain_keeps_labels(self, tmp_path):
+        data = tmp_path / "d5"
+        assert run("simulate", "--sources", 20, "--objects", 150,
+                   "--density", 0.3, "--domain", 5, "--seed", 7,
+                   "--out-dir", data) == 0
+        labels = (data / "truth.csv").read_text().splitlines()[:31]
+        (data / "labels.csv").write_text("\n".join(labels) + "\n")
+        out = tmp_path / "r.json"
+        code = run("fuse", "--observations", data / "observations.csv",
+                   "--truth", data / "labels.csv", "--algo", "em",
+                   "--out", out)
+        assert code == 0
+        result = json.loads(out.read_text())
+        assert len(result["values"]) == 150
+        for row in labels[1:]:
+            obj, value = row.split(",")
+            assert result["values"][obj] == value
+
     def test_erm_without_truth_is_input_error(self, sim_dir, tmp_path):
         code = run("fuse", "--observations", sim_dir / "observations.csv",
                    "--algo", "erm", "--out", tmp_path / "r.json")

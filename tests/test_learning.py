@@ -13,9 +13,12 @@ from trustfuse import (
     fit_erm_object,
     fit_erm_observation,
     fit_weights,
+    majority_vote,
     map_values,
     source_accuracies,
+    weighted_accuracy_error,
 )
+from trustfuse.model import argmax_with_ties
 from trustfuse.learning import (
     object_loss_and_grad,
     observation_loss_and_grad,
@@ -259,11 +262,14 @@ class TestFitEm:
         gt = sim.truth.restricted_to_domains(inst)
         cfg = LearnConfig(objective_tol=1e-10, max_inner_iters=3000, seed=5)
         w_em, _, diag = fit_em(inst, gt, cfg)
-        w_erm, _ = fit_erm_object(inst, gt, cfg)
+        # EM's M-step is the observation loss, and with every object
+        # labelled its expected counts are the labelled counts.
+        w_erm, _ = fit_erm_observation(inst, gt, cfg)
         np.testing.assert_allclose(
             w_em.source_intercepts, w_erm.source_intercepts, atol=1e-6
         )
         assert diag.converged
+        assert diag.iterations == 1
 
     def test_unsupervised_recovery_on_sparse_binary(self):
         sim = generate(
@@ -294,6 +300,34 @@ class TestFitEm:
         hist = np.array(diag.history)
         assert hist.size >= 2
         assert np.all(np.diff(hist) >= -1e-8)
+
+    @pytest.mark.parametrize("domain", [2, 3, 5])
+    def test_unsupervised_accuracies_on_multi_valued_domains(self, domain):
+        sim = generate(
+            SimConfig(n_sources=100, n_objects=1000, density=0.05,
+                      domain_size=domain, true_weights=(1.5, -0.8, 0.6),
+                      seed=domain)
+        )
+        inst = sim.instance
+        w, table, diag = fit_em(inst, GroundTruth({}), LearnConfig(seed=domain))
+        acc = source_accuracies(w, inst.features)
+        est = {name: float(acc[s]) for s, name in enumerate(inst.sources)}
+        assert weighted_accuracy_error(est, inst, sim.truth) <= 0.1
+        truth = truth_by_name(inst, sim.truth)
+
+        def n_correct(values):
+            return sum(values[o] == truth[o] for o in truth)
+
+        rng = np.random.default_rng(domain)
+        em_values = argmax_with_ties(table.probs, inst, rng)
+        assert n_correct(em_values) >= n_correct(majority_vote(inst, seed=domain))
+        assert diag.converged
+
+    def test_copying_pairs_rejected(self):
+        sim = generate(SimConfig(n_sources=10, n_objects=40, density=0.4, seed=2))
+        inst = sim.instance.with_pairs([(0, 1)])
+        with pytest.raises(ValueError, match="fit_erm_object"):
+            fit_em(inst, GroundTruth({}), LearnConfig())
 
     def test_hard_em_termination_is_flagged(self):
         sim = generate(SimConfig(n_sources=20, n_objects=60, density=0.2, seed=9))
