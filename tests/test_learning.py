@@ -1,4 +1,9 @@
 import itertools
+import logging
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,11 +23,18 @@ from trustfuse import (
     source_accuracies,
     weighted_accuracy_error,
 )
+from trustfuse.instance import label_correctness_counts
 from trustfuse.model import argmax_with_ties
 from trustfuse.learning import (
+    _Layout,
+    _binomial_loss,
+    _fit_binomial,
+    _observation_smooth_loss,
+    _soft_threshold,
     object_loss_and_grad,
     observation_loss_and_grad,
     one_hot_targets,
+    proximal_fit,
 )
 from trustfuse.simulation import SimConfig, generate
 from conftest import random_instance, random_weights, truth_by_name
@@ -194,6 +206,118 @@ class TestFitErmObservation:
         assert map_values(inst, w_obj, seed=1) == map_values(inst, w_obs, seed=1)
 
 
+    def test_copying_pairs_rejected(self):
+        sim = generate(SimConfig(n_sources=10, n_objects=40, density=0.4, seed=2))
+        inst = sim.instance.with_pairs([(0, 1)])
+        gt = sim.truth.restricted_to_domains(inst)
+        with pytest.raises(ValueError, match="fit_erm_object"):
+            fit_erm_observation(inst, gt, LearnConfig())
+
+
+class TestFitBinomial:
+    """The proximal Newton solver behind both binomial-loss fits."""
+
+    L2 = 0.01
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        sim = generate(
+            SimConfig(n_sources=20, n_objects=300, density=0.2,
+                      true_weights=(1.5, -0.8, 0.6), seed=4)
+        )
+        inst = sim.instance
+        labels = sim.truth.restricted_to_domains(inst).labels
+        gt = GroundTruth(dict(sorted(labels.items())[:60]))
+        correct, total = label_correctness_counts(inst, gt.validate(inst))
+        return inst, correct, total
+
+    @staticmethod
+    def kkt_residual(fg, x, n_s, l1):
+        _, g = fg(x)
+        v = x[n_s:]
+        return max(np.max(np.abs(g[:n_s])),
+                   np.max(np.abs(v - _soft_threshold(v - g[n_s:], l1))))
+
+    def lambda_max(self, inst, correct, total):
+        # The smallest L1 at which all feature weights are 0: the largest
+        # feature gradient at the intercept-only optimum.
+        w, diag = _fit_binomial(inst.features[:, :0], correct, total, 0.0,
+                                self.L2, np.zeros(inst.n_sources), 100, 1e-12)
+        assert diag.converged
+        _, g_eta, _ = _binomial_loss(w, correct, total)
+        return float(np.max(np.abs(inst.features.T @ g_eta)))
+
+    @pytest.mark.parametrize("l1_kind", ["zero", "small", "above_max"])
+    def test_matches_tight_fista(self, problem, l1_kind):
+        inst, correct, total = problem
+        l1 = {"zero": 0.0, "small": 0.1,
+              "above_max": 1.01 * self.lambda_max(inst, correct, total)}[l1_kind]
+        layout = _Layout(inst)
+        fg = _observation_smooth_loss(inst, correct, total, self.L2, layout)
+        x0 = np.zeros(layout.size)
+        tol = 1e-10
+        x, diag = _fit_binomial(inst.features, correct, total, l1, self.L2,
+                                x0, 100, tol)
+        x_ref, _ = proximal_fit(x0, fg, layout.l1_weights(l1), 20000, 1e-15)
+
+        def objective(z):
+            return fg(z)[0] + l1 * float(np.abs(z[layout.n_s:]).sum())
+
+        assert diag.converged
+        assert diag.objective == pytest.approx(objective(x), rel=1e-12)
+        ref = objective(x_ref)
+        assert objective(x) <= ref + 1e-9 * abs(ref)
+        bound = tol * max(1.0, float(total.max()))
+        assert self.kkt_residual(fg, x, layout.n_s, l1) <= bound
+        if l1_kind == "above_max":
+            assert np.all(x[layout.n_s:] == 0.0)
+
+    def test_one_step_from_zeros_is_not_converged(self, problem):
+        inst, correct, total = problem
+        x0 = np.zeros(inst.n_sources + inst.n_features)
+        _, diag = _fit_binomial(inst.features, correct, total, 0.1, self.L2,
+                                x0, 1, 1e-6)
+        assert diag.iterations == 1
+        assert not diag.converged
+
+    @pytest.mark.parametrize("l1", [0.0, 0.1])
+    def test_no_ridge_gives_finite_weights(self, problem, l1):
+        # Without a ridge the Schur block is 0 and sources that are always
+        # right (or wrong) have no finite optimum.
+        inst, correct, total = problem
+        x0 = np.zeros(inst.n_sources + inst.n_features)
+        x0[inst.n_sources:] = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, diag = _fit_binomial(inst.features, correct, total, l1, 0.0,
+                                    x0, 50, 1e-6)
+        assert np.all(np.isfinite(x))
+        assert np.isfinite(diag.objective)
+        if l1:
+            assert np.all(x[inst.n_sources:] == 0.0)
+        else:
+            np.testing.assert_array_equal(x[inst.n_sources:], 0.5)
+
+    def test_nonfinite_start_rejected(self, problem):
+        inst, correct, total = problem
+        x0 = np.zeros(inst.n_sources + inst.n_features)
+        x0[0] = np.nan
+        with pytest.raises(ValueError):
+            _fit_binomial(inst.features, correct, total, 0.0, self.L2, x0, 10, 1e-6)
+
+
+def test_import_keeps_scipy_optimize_out():
+    # scipy.optimize adds about 23 MB to the resident size of every process
+    # that imports trustfuse.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, trustfuse; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 class TestFitWeights:
     def test_zero_iterations_returns_init(self, rng):
         inst = random_instance(rng, n_features=2)
@@ -328,6 +452,17 @@ class TestFitEm:
         inst = sim.instance.with_pairs([(0, 1)])
         with pytest.raises(ValueError, match="fit_erm_object"):
             fit_em(inst, GroundTruth({}), LearnConfig())
+
+    def test_logs_each_outer_iteration(self, caplog):
+        sim = generate(SimConfig(n_sources=20, n_objects=60, density=0.2, seed=9))
+        with caplog.at_level(logging.DEBUG, logger="trustfuse"):
+            _, _, diag = fit_em(sim.instance, GroundTruth({}), LearnConfig(seed=9))
+        lines = [r.getMessage() for r in caplog.records if r.name == "trustfuse"]
+        assert len(lines) == diag.iterations > 1
+        for i, (line, value) in enumerate(zip(lines, diag.history), start=1):
+            assert line.startswith(f"EM iteration {i}: log-likelihood {value:.10g}, ")
+            assert ("relative change nan" in line) == (i == 1)
+            assert "Newton steps, converged=True" in line
 
     def test_hard_em_termination_is_flagged(self):
         sim = generate(SimConfig(n_sources=20, n_objects=60, density=0.2, seed=9))
