@@ -109,20 +109,14 @@ def add_copying_features(
     if min_overlap < 1:
         raise ValueError("min_overlap must be at least 1")
     n = instance.n_sources
-    overlap = np.zeros((n, n), dtype=np.int64)
-    for o in range(instance.n_objects):
-        rows = instance.observers_of(o)
-        if rows.size < 2:
-            continue
-        srcs = instance.obs_source[rows]
-        overlap[np.ix_(srcs, srcs)] += 1
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if overlap[i, j] >= min_overlap
-    ]
-    return instance.with_pairs(pairs)
+    first, second = instance.obs_pairs
+    # Each co-observed object contributes one (i, j) key, i < j.
+    keys, overlap = np.unique(
+        instance.obs_source[first] * n + instance.obs_source[second],
+        return_counts=True,
+    )
+    keys = keys[overlap >= min_overlap]
+    return instance.with_pairs(list(zip((keys // n).tolist(), (keys % n).tolist())))
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,15 @@ def _run_fuse(args: argparse.Namespace) -> int:
         },
     }
     dump_json(payload, args.out)
-    return EXIT_OK if diagnostics.converged else EXIT_NO_CONVERGENCE
+    if diagnostics.converged:
+        return EXIT_OK
+    print(
+        f"warning: {result.algorithm_used} ran {diagnostics.iterations} "
+        f"iterations and did not pass its optimality check; {args.out} "
+        'has "converged": false',
+        file=sys.stderr,
+    )
+    return EXIT_NO_CONVERGENCE
 
 
 def _run_optimize(args: argparse.Namespace) -> int:

@@ -191,38 +191,46 @@ class FusionInstance:
         return np.bincount(self.obs_source, minlength=self.n_sources)
 
     @cached_property
+    def obs_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair of observations of one object, as observation indices
+        (first, second) with first's source below second's.
+
+        Objects come in index order; an object's pairs come in lexicographic
+        order of their (first, second) sources.
+        """
+        order = np.lexsort((self.obs_source, self.obs_object))
+        counts = self.obs_counts
+        block_end = np.repeat(np.cumsum(counts), counts)
+        n_after = block_end - np.arange(order.size) - 1
+        first = np.repeat(np.arange(order.size), n_after)
+        run_start = np.repeat(np.cumsum(n_after) - n_after, n_after)
+        second = first + 1 + np.arange(first.size) - run_start
+        return order[first], order[second]
+
+    @cached_property
     def pair_events(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Copying-feature firings: (object, agreed candidate, pair id).
 
         One event per registered pair and object where both sources observe
-        the object and report the same value.
+        the object and report the same value, in `obs_pairs` order.
         """
         if not self.pairs:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty.copy(), empty.copy()
-        pair_id = {p: i for i, p in enumerate(self.pairs)}
-        ev_obj: list[int] = []
-        ev_cand: list[int] = []
-        ev_pair: list[int] = []
-        for o in range(self.n_objects):
-            rows = self.observers_of(o)
-            if rows.size < 2:
-                continue
-            srcs = self.obs_source[rows]
-            vals = self.obs_value_idx[rows]
-            order = np.argsort(srcs)
-            srcs, vals = srcs[order], vals[order]
-            for a in range(srcs.size):
-                for b in range(a + 1, srcs.size):
-                    pid = pair_id.get((int(srcs[a]), int(srcs[b])))
-                    if pid is not None and vals[a] == vals[b]:
-                        ev_obj.append(o)
-                        ev_cand.append(int(self.cand_offsets[o] + vals[a]))
-                        ev_pair.append(pid)
+        first, second = self.obs_pairs
+        n = self.n_sources
+        pair_keys = np.array([i * n + j for i, j in self.pairs], dtype=np.int64)
+        by_key = np.argsort(pair_keys, kind="stable")
+        keys = self.obs_source[first] * n + self.obs_source[second]
+        pos = np.minimum(np.searchsorted(pair_keys[by_key], keys), by_key.size - 1)
+        pair_id = by_key[pos]
+        fires = (pair_keys[pair_id] == keys) & (
+            self.obs_value_idx[first] == self.obs_value_idx[second]
+        )
         return (
-            np.asarray(ev_obj, dtype=np.int64),
-            np.asarray(ev_cand, dtype=np.int64),
-            np.asarray(ev_pair, dtype=np.int64),
+            self.obs_object[first[fires]],
+            self.obs_cand[first[fires]],
+            pair_id[fires].astype(np.int64),
         )
 
     def with_pairs(self, pairs: Sequence[tuple[int, int]]) -> "FusionInstance":

@@ -1,12 +1,14 @@
 """Parameter estimation: ERM on labels and one-coin EM on partial labels.
 
-Two losses, two solvers. The per-source binomial loss (`fit_erm_observation`
-and EM's M-step) is solved by proximal Newton (`_fit_binomial`), whose
-``converged`` is a scale-aware KKT check. The object loss (`fit_weights`:
-object ERM, copying-pair weights, the lasso path) and the pair estimator use
-a monotone accelerated proximal-gradient solver (`proximal_fit`). Both apply
-L1 to feature weights only and a ridge to intercepts (and pair weights).
-Fits are full-batch and deterministic for a fixed data order and seed.
+Two losses over x = [w_s | w_k], one solver: proximal Newton
+(`_proximal_newton`), whose ``converged`` is a scale-aware KKT check. It
+fits the per-source binomial loss (`fit_erm_observation` and EM's M-step)
+and the object loss (`fit_weights`: object ERM, as `fuse --algo erm` runs
+it, and the lasso path). Only fits with copying-pair weights, whose count
+grows as S^2, and the pair estimator keep the monotone accelerated
+proximal-gradient solver (`proximal_fit`). All fits apply L1 to feature
+weights only and a ridge to intercepts (and pair weights). Fits are
+full-batch and deterministic for a fixed data order and seed.
 """
 
 from __future__ import annotations
@@ -126,6 +128,11 @@ class _Layout:
 # ---------------------------------------------------------------------------
 
 
+# A loss of the trust scores sigma: (value, gradient in sigma, curvature in
+# sigma), the curvature either a diagonal (1-D) or a full S x S matrix.
+_SigmaLoss = Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]]
+
+
 def one_hot_targets(instance: FusionInstance, labels: GroundTruth) -> np.ndarray:
     """Flat candidate target mass: 1 at each labeled object's true value."""
     idx = labels.validate(instance)
@@ -152,16 +159,10 @@ def _object_smooth_loss(
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
         sigma = layout.trust_scores(x, instance.features)
         scores = _candidate_scores(instance, sigma, x[layout.n_s + layout.n_k :])
-        probs = _softmax_by_object(scores, instance)
-        logp = np.log(np.maximum(probs, 1e-300))
-        loss = -float(targets @ logp)
-        residual = incl_cand * probs - targets
-        grad = np.zeros_like(x)
-        g_sigma = np.bincount(
-            instance.obs_source,
-            weights=residual[instance.obs_cand],
-            minlength=instance.n_sources,
+        loss, _, residual, g_sigma = _cross_entropy(
+            instance, targets, incl_cand, scores
         )
+        grad = np.zeros_like(x)
         grad[: layout.n_s] = g_sigma
         if layout.n_k:
             grad[layout.n_s : layout.n_s + layout.n_k] = instance.features.T @ g_sigma
@@ -178,6 +179,63 @@ def _object_smooth_loss(
         return loss, grad
 
     return fg
+
+
+def _cross_entropy(
+    instance: FusionInstance,
+    targets: np.ndarray,
+    incl_cand: np.ndarray,
+    scores: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted softmax cross-entropy of candidate ``scores``: the loss, the
+    probabilities, the per-candidate residual and the gradient in sigma."""
+    probs = _softmax_by_object(scores, instance)
+    loss = -float(targets @ np.log(np.maximum(probs, 1e-300)))
+    residual = incl_cand * probs - targets
+    g_sigma = np.bincount(
+        instance.obs_source,
+        weights=residual[instance.obs_cand],
+        minlength=instance.n_sources,
+    )
+    return loss, probs, residual, g_sigma
+
+
+def _object_sigma_loss(
+    instance: FusionInstance, targets: np.ndarray, obj_weight: np.ndarray
+) -> _SigmaLoss:
+    """The object loss of an instance without copying pairs as a function of
+    the trust scores, for `_proximal_newton`.
+
+    Its curvature in sigma is the S x S matrix sum_o m_o (diag(p_o) -
+    p_o p_o') pulled back through the vote incidence, with m_o the object's
+    label mass: each ordered pair (i, j) of observations of a labelled
+    object, i = j included, adds m_o p[c_i]([c_i = c_j] - p[c_j]) at
+    (s_i, s_j).
+    """
+    n_s = instance.n_sources
+    first, second = instance.obs_pairs
+    keep = obj_weight[instance.obs_object[first]] > 0
+    first, second = first[keep], second[keep]
+    own = np.flatnonzero(obj_weight[instance.obs_object] > 0)
+    obs_i = np.concatenate([first, second, own])
+    obs_j = np.concatenate([second, first, own])
+    cand_i, cand_j = instance.obs_cand[obs_i], instance.obs_cand[obs_j]
+    same = (cand_i == cand_j).astype(float)
+    mass = obj_weight[instance.obs_object[obs_i]]
+    cell = instance.obs_source[obs_i] * n_s + instance.obs_source[obs_j]
+    incl_cand = obj_weight[instance.cand_object]
+    no_pairs = np.empty(0)
+
+    def loss(sigma: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        scores = _candidate_scores(instance, sigma, no_pairs)
+        value, probs, _, g_sigma = _cross_entropy(instance, targets, incl_cand, scores)
+        p_i = probs[cand_i]
+        curv = np.bincount(
+            cell, weights=mass * p_i * (same - probs[cand_j]), minlength=n_s * n_s
+        )
+        return value, g_sigma, curv.reshape(n_s, n_s)
+
+    return loss
 
 
 def object_loss_and_grad(
@@ -327,52 +385,53 @@ def proximal_fit(
 
 
 # ---------------------------------------------------------------------------
-# Proximal Newton on the per-source binomial loss
+# Proximal Newton on [w_s | w_k]
 # ---------------------------------------------------------------------------
 
 
-def _fit_binomial(
+def _proximal_newton(
     features: np.ndarray,
-    correct: np.ndarray,
-    total: np.ndarray,
+    loss: _SigmaLoss,
     l1: float,
     l2: float,
     x0: np.ndarray,
     max_iters: int,
     tol: float,
+    scale: float,
 ) -> tuple[np.ndarray, Diagnostics]:
-    """Minimize the binomial loss of ``correct`` out of ``total`` per source
-    plus ``l2 |w_s|^2 + l1 |w_k|_1`` over x = [w_s | w_k] by proximal Newton
-    steps (Lee, Sun & Saunders 2014).
+    """Minimize ``loss(w_s + F w_k) + l2 |w_s|^2 + l1 |w_k|_1`` over
+    x = [w_s | w_k] by proximal Newton steps (Lee, Sun & Saunders 2014).
 
-    The Hessian is diag(d) + 2 l2 on the intercepts plus a rank-K coupling
-    to the features, so each step solves the quadratic model exactly: the
-    intercept step in closed form, the feature weights on the K x K Schur
-    complement. A monotone Armijo search on the full objective damps it.
+    With H the curvature of ``loss`` in sigma, the Hessian is H + 2 l2 on
+    the intercepts, H F between intercepts and features and F'HF on the
+    features. Each step solves the quadratic model exactly: the intercept
+    step is eliminated, the K feature weights are solved on their Schur
+    complement ``2 l2 F'(H + 2 l2)^-1 H F`` by `_lasso_qp`, and a monotone
+    Armijo search on the full objective damps the step.
 
     ``converged`` means the scale-aware KKT residual
     ``max(|grad_w|_inf, |w_k - soft(w_k - grad_k, l1)|_inf)`` is at most
-    ``tol * max(1, max(total))``. The fit stops there, after ``max_iters``
-    steps, or when the line search finds no decrease.
+    ``tol * max(1, scale)``. The fit stops there, after ``max_iters`` steps,
+    or when the line search finds no decrease.
     """
     x = np.array(x0, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite initial point")
-    n_s = total.size
-    bound = tol * max(1.0, float(np.max(total, initial=0)))
+    n_s = features.shape[0]
+    bound = tol * max(1.0, scale)
 
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         w, v = x[:n_s], x[n_s:]
-        loss, g_eta, curv = _binomial_loss(w + features @ v, correct, total)
-        return loss + l2 * float(w @ w) + l1 * float(np.abs(v).sum()), g_eta, curv
+        value, g_sigma, curv = loss(w + features @ v)
+        return value + l2 * float(w @ w) + l1 * float(np.abs(v).sum()), g_sigma, curv
 
-    obj, g_eta, curv = evaluate(x)
+    obj, g_sigma, curv = evaluate(x)
     converged = False
     steps = 0
     while True:
         w, v = x[:n_s], x[n_s:]
-        g_w = g_eta + 2.0 * l2 * w
-        g_v = features.T @ g_eta
+        g_w = g_sigma + 2.0 * l2 * w
+        g_v = features.T @ g_sigma
         residual = max(
             np.max(np.abs(g_w), initial=0.0),
             np.max(np.abs(v - _soft_threshold(v - g_v, l1)), initial=0.0),
@@ -383,13 +442,29 @@ def _fit_binomial(
         if steps == max_iters:
             break
         # Eliminating the intercept step leaves, for the feature weights,
-        # the quadratic  r.dv + dv'(F' diag(2 l2 d / (d + 2 l2)) F)dv / 2.
-        denom = curv + 2.0 * l2
-        inv = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0)
-        schur = features.T @ ((2.0 * l2 * curv * inv)[:, None] * features)
-        r = g_v - features.T @ (curv * inv * g_w)
-        dv = _lasso_qp(schur, r, v, l1) - v
-        dw = -(g_w + curv * (features @ dv)) * inv
+        # the quadratic  r.dv + dv'(2 l2 F'(H + 2 l2)^-1 H F)dv / 2.
+        if curv.ndim == 1:
+            denom = curv + 2.0 * l2
+            inv = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0)
+            schur = features.T @ ((2.0 * l2 * curv * inv)[:, None] * features)
+            r = g_v - features.T @ (curv * inv * g_w)
+            dv = _lasso_qp(schur, r, v, l1) - v
+            dw = -(g_w + curv * (features @ dv)) * inv
+        else:
+            hf = curv @ features
+            # (H + 2 l2)^-1 [g_w | H F]; without a ridge H can be singular,
+            # and the least-norm solution is taken.
+            rhs = np.column_stack([g_w, hf])
+            a = curv + 2.0 * l2 * np.eye(n_s)
+            z = (
+                np.linalg.solve(a, rhs)
+                if l2 > 0
+                else np.linalg.lstsq(a, rhs, rcond=None)[0]
+            )
+            schur = 2.0 * l2 * (features.T @ z[:, 1:])
+            r = g_v - hf.T @ z[:, 0]
+            dv = _lasso_qp(schur, r, v, l1) - v
+            dw = -(z[:, 0] + z[:, 1:] @ dv)
         decrease = float(g_w @ dw + g_v @ dv) + l1 * float(
             np.abs(v + dv).sum() - np.abs(v).sum()
         )
@@ -405,9 +480,34 @@ def _fit_binomial(
         else:
             break
         x = x + t * step
-        obj, g_eta, curv = trial
+        obj, g_sigma, curv = trial
         steps += 1
     return x, Diagnostics(iterations=steps, objective=float(obj), converged=converged)
+
+
+def _fit_binomial(
+    features: np.ndarray,
+    correct: np.ndarray,
+    total: np.ndarray,
+    l1: float,
+    l2: float,
+    x0: np.ndarray,
+    max_iters: int,
+    tol: float,
+) -> tuple[np.ndarray, Diagnostics]:
+    """`_proximal_newton` on the binomial loss of ``correct`` out of
+    ``total`` per source, whose curvature in sigma is diagonal. The KKT
+    bound scales with the most observations of one source."""
+    return _proximal_newton(
+        features,
+        lambda eta: _binomial_loss(eta, correct, total),
+        l1,
+        l2,
+        x0,
+        max_iters,
+        tol,
+        float(np.max(total, initial=0)),
+    )
 
 
 def _lasso_qp(q: np.ndarray, r: np.ndarray, v: np.ndarray, l1: float) -> np.ndarray:
@@ -449,6 +549,13 @@ def fit_weights(
 
     ``targets`` is a flat candidate array of per-object label mass (one-hot
     for labels); objects with zero mass do not contribute.
+
+    Without copying pairs the fit is proximal Newton (`_proximal_newton`):
+    ``converged`` means the KKT residual is at most ``objective_tol`` times
+    the most labelled observations of any source (at least 1), reached
+    within ``max_inner_iters`` Newton steps. With copying pairs it is
+    `proximal_fit`, which stops when one step lowers the objective by less
+    than ``objective_tol``, or after ``max_inner_iters`` iterations.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.shape != (instance.n_candidates,):
@@ -460,16 +567,34 @@ def fit_weights(
         raise ValueError("targets must cover at least one object")
     layout = _Layout(instance)
     x0 = layout.pack(init if init is not None else WeightVector.zeros(instance))
-    fg = _object_smooth_loss(
-        instance, targets, obj_weight, config.l2_intercept_penalty, layout
-    )
-    x, diag = proximal_fit(
-        x0,
-        fg,
-        layout.l1_weights(config.l1_feature_penalty),
-        config.max_inner_iters,
-        config.objective_tol,
-    )
+    if instance.pairs:
+        # Up to S(S-1)/2 pair weights: too many for a dense Newton step.
+        fg = _object_smooth_loss(
+            instance, targets, obj_weight, config.l2_intercept_penalty, layout
+        )
+        x, diag = proximal_fit(
+            x0,
+            fg,
+            layout.l1_weights(config.l1_feature_penalty),
+            config.max_inner_iters,
+            config.objective_tol,
+        )
+    else:
+        labelled_obs = np.bincount(
+            instance.obs_source,
+            weights=obj_weight[instance.obs_object],
+            minlength=instance.n_sources,
+        )
+        x, diag = _proximal_newton(
+            instance.features,
+            _object_sigma_loss(instance, targets, obj_weight),
+            config.l1_feature_penalty,
+            config.l2_intercept_penalty,
+            x0,
+            config.max_inner_iters,
+            config.objective_tol,
+            float(np.max(labelled_obs)),
+        )
     return layout.unpack(x), diag
 
 
@@ -479,7 +604,9 @@ def fit_erm_object(
     config: LearnConfig,
     init: WeightVector | None = None,
 ) -> tuple[WeightVector, Diagnostics]:
-    """ERM over labeled objects: minimize the penalized posterior log-loss."""
+    """ERM over labeled objects: minimize the penalized posterior log-loss,
+    by `fit_weights` (proximal Newton unless the instance has copying
+    pairs)."""
     if len(ground_truth) == 0:
         raise ValueError("ERM requires at least one labeled object")
     targets = one_hot_targets(instance, ground_truth)

@@ -1,11 +1,21 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from trustfuse import InstanceError, load_instance, write_instance
+from trustfuse import (
+    InstanceError,
+    WeightVector,
+    cli,
+    correctness_counts,
+    load_instance,
+    pipeline,
+    write_instance,
+)
 from trustfuse.cli import main
+from trustfuse.learning import _soft_threshold, object_loss_and_grad, one_hot_targets
 from trustfuse.simulation import SimConfig, generate
 
 
@@ -160,6 +170,58 @@ class TestFuseCommand:
         for row in labels[1:]:
             obj, value = row.split(",")
             assert result["values"][obj] == value
+
+    def test_unconverged_fit_says_why_on_stderr(
+        self, sim_dir, tmp_path, capsys, monkeypatch
+    ):
+        def capped_fuse(*args, **kwargs):
+            result = pipeline.fuse(*args, **kwargs)
+            capped = replace(result.diagnostics, iterations=500, converged=False)
+            return replace(result, diagnostics=capped)
+
+        out = tmp_path / "r.json"
+        argv = ("fuse", "--observations", sim_dir / "observations.csv",
+                "--truth", sim_dir / "truth.csv", "--algo", "erm", "--out", out)
+        assert run(*argv) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(cli, "fuse", capped_fuse)
+        assert run(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "ERM" in err[0] and "500 iterations" in err[0]
+        assert "did not pass its optimality check" in err[0]
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        assert diagnostics["iterations"] == 500
+        assert diagnostics["converged"] is False
+
+    def test_erm_weights_pass_the_kkt_check(self, tmp_path):
+        # The weights written are optimal: the KKT residual of the object
+        # loss at them is within the bound `converged` promises.
+        data = tmp_path / "feat"
+        assert run("simulate", "--sources", 40, "--objects", 600,
+                   "--density", 0.15, "--feature-model", "1.5,-0.8,0.6",
+                   "--seed", 5, "--out-dir", data) == 0
+        out = tmp_path / "r.json"
+        assert run("fuse", "--observations", data / "observations.csv",
+                   "--features", data / "features.csv",
+                   "--truth", data / "truth.csv", "--algo", "erm",
+                   "--l1", 0.1, "--out", out) == 0
+        inst, truth = load_instance(data / "observations.csv",
+                                    data / "features.csv", data / "truth.csv")
+        weights = json.loads(out.read_text())["weights"]
+        w = WeightVector(
+            np.array([weights["sources"][name] for name in inst.sources]),
+            np.array([weights["features"][name] for name in inst.feature_names]),
+        )
+        targets = one_hot_targets(inst, truth)
+        _, grad = object_loss_and_grad(inst, targets, w, l2=0.01)
+        v = w.feature_weights
+        residual = max(
+            np.max(np.abs(grad.source_intercepts)),
+            np.max(np.abs(v - _soft_threshold(v - grad.feature_weights, 0.1))),
+        )
+        _, labelled_obs = correctness_counts(inst, truth)
+        assert residual <= 1e-6 * max(1, labelled_obs.max())
 
     def test_erm_without_truth_is_input_error(self, sim_dir, tmp_path):
         code = run("fuse", "--observations", sim_dir / "observations.csv",

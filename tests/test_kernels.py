@@ -104,6 +104,42 @@ def ref_em_units(instance, avg_accuracy, per_observer=True):
     return total
 
 
+def ref_pair_events(instance):
+    pair_id = {p: i for i, p in enumerate(instance.pairs)}
+    ev_obj, ev_cand, ev_pair = [], [], []
+    for o in range(instance.n_objects):
+        rows = instance.observers_of(o)
+        if rows.size < 2:
+            continue
+        srcs = instance.obs_source[rows]
+        vals = instance.obs_value_idx[rows]
+        order = np.argsort(srcs)
+        srcs, vals = srcs[order], vals[order]
+        for a in range(srcs.size):
+            for b in range(a + 1, srcs.size):
+                pid = pair_id.get((int(srcs[a]), int(srcs[b])))
+                if pid is not None and vals[a] == vals[b]:
+                    ev_obj.append(o)
+                    ev_cand.append(int(instance.cand_offsets[o] + vals[a]))
+                    ev_pair.append(pid)
+    return tuple(np.asarray(ev, dtype=np.int64) for ev in (ev_obj, ev_cand, ev_pair))
+
+
+def ref_copying_pairs(instance, min_overlap):
+    n = instance.n_sources
+    overlap = np.zeros((n, n), dtype=np.int64)
+    for o in range(instance.n_objects):
+        rows = instance.observers_of(o)
+        if rows.size < 2:
+            continue
+        srcs = instance.obs_source[rows]
+        overlap[np.ix_(srcs, srcs)] += 1
+    return tuple(
+        (i, j) for i in range(n) for j in range(i + 1, n)
+        if overlap[i, j] >= min_overlap
+    )
+
+
 def ref_proximal_fit(x0, fg, l1, max_iters, tol, step_size=1.0):
     """The solver before it reused evaluations; also counts its restarts."""
     restarts = 0
@@ -248,6 +284,33 @@ def test_scores_with_copying_pairs_match_scatter_reference():
     assert inst.pairs and inst.pair_events[0].size
     w = random_weights(np.random.default_rng(4), inst)
     assert np.array_equal(candidate_scores(inst, w), ref_candidate_scores(inst, w))
+
+
+@pytest.mark.parametrize("domain", [2, 3, 5])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_copying_pairs_and_events_equal_loops(domain, seed):
+    inst, _ = simulated(domain, seed, n_sources=15, n_objects=300)
+    # Observations in shuffled order, so an object's sources are not sorted.
+    triples = inst.triples()
+    order = np.random.default_rng(seed).permutation(len(triples))
+    inst = FusionInstance.from_triples(
+        inst.sources, inst.objects, [triples[k] for k in order]
+    )
+    for min_overlap in (1, 8, 15):
+        ext = add_copying_features(inst, min_overlap=min_overlap)
+        assert ext.pairs == ref_copying_pairs(inst, min_overlap)
+        for got, want in zip(ext.pair_events, ref_pair_events(ext)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+    # A sparse set of registered pairs, some never co-observed.
+    rng = np.random.default_rng([domain, seed])
+    every = [(i, j) for i in range(15) for j in range(i + 1, 15)]
+    picked = rng.choice(len(every), 20, replace=False)
+    some = inst.with_pairs([every[k] for k in picked])
+    events = some.pair_events
+    assert events[0].size
+    for got, want in zip(events, ref_pair_events(some)):
+        assert np.array_equal(got, want)
 
 
 def test_proximal_fit_evaluates_each_point_once():

@@ -29,7 +29,10 @@ from trustfuse.learning import (
     _Layout,
     _binomial_loss,
     _fit_binomial,
+    _object_sigma_loss,
+    _object_smooth_loss,
     _observation_smooth_loss,
+    _proximal_newton,
     _soft_threshold,
     object_loss_and_grad,
     observation_loss_and_grad,
@@ -304,6 +307,130 @@ class TestFitBinomial:
         x0[0] = np.nan
         with pytest.raises(ValueError):
             _fit_binomial(inst.features, correct, total, 0.0, self.L2, x0, 10, 1e-6)
+
+
+class TestObjectNewton:
+    """Proximal Newton on the object loss (`fit_weights` without pairs)."""
+
+    L2 = 0.01
+    TOL = 1e-10
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        sim = generate(
+            SimConfig(n_sources=20, n_objects=300, density=0.2, domain_size=3,
+                      true_weights=(1.5, -0.8, 0.6), seed=6)
+        )
+        inst = sim.instance
+        labels = sim.truth.restricted_to_domains(inst).labels
+        targets = one_hot_targets(inst, GroundTruth(dict(sorted(labels.items())[:60])))
+        return inst, targets
+
+    @staticmethod
+    def obj_weight(inst, targets):
+        return np.bincount(inst.cand_object, weights=targets,
+                           minlength=inst.n_objects)
+
+    def kkt(self, inst, targets, x, l1):
+        """The KKT residual at x and the bound `fit_weights` checks it by."""
+        layout = _Layout(inst)
+        fg = _object_smooth_loss(inst, targets, self.obj_weight(inst, targets),
+                                 self.L2, layout)
+        _, g = fg(x)
+        v = x[layout.n_s:]
+        residual = max(np.max(np.abs(g[:layout.n_s])),
+                       np.max(np.abs(v - _soft_threshold(v - g[layout.n_s:], l1))))
+        labelled_obs = np.bincount(
+            inst.obs_source, weights=self.obj_weight(inst, targets)[inst.obs_object]
+        )
+        return residual, self.TOL * max(1.0, labelled_obs.max())
+
+    def lambda_max(self, inst, targets):
+        # The largest feature gradient at the intercept-only optimum.
+        cfg = LearnConfig(l1_feature_penalty=1e12, l2_intercept_penalty=self.L2,
+                          objective_tol=self.TOL)
+        w, diag = fit_weights(inst, targets, cfg)
+        assert diag.converged
+        _, grad = object_loss_and_grad(inst, targets, w, self.L2)
+        return float(np.max(np.abs(grad.feature_weights)))
+
+    @pytest.mark.parametrize("l1_kind", ["zero", "small", "above_max"])
+    def test_matches_tight_fista(self, problem, l1_kind):
+        inst, targets = problem
+        l1 = {"zero": 0.0, "small": 0.1,
+              "above_max": 1.01 * self.lambda_max(inst, targets)}[l1_kind]
+        cfg = LearnConfig(l1_feature_penalty=l1, l2_intercept_penalty=self.L2,
+                          objective_tol=self.TOL, max_inner_iters=100)
+        w, diag = fit_weights(inst, targets, cfg)
+        layout = _Layout(inst)
+        x = layout.pack(w)
+        fg = _object_smooth_loss(inst, targets, self.obj_weight(inst, targets),
+                                 self.L2, layout)
+        x_ref, _ = proximal_fit(np.zeros(layout.size), fg, layout.l1_weights(l1),
+                                20000, 1e-15)
+
+        def objective(z):
+            return fg(z)[0] + l1 * float(np.abs(z[layout.n_s:]).sum())
+
+        assert diag.converged
+        assert diag.objective == pytest.approx(objective(x), rel=1e-12)
+        ref = objective(x_ref)
+        assert objective(x) <= ref + 1e-9 * abs(ref)
+        residual, bound = self.kkt(inst, targets, x, l1)
+        assert residual <= bound
+        if l1_kind == "above_max":
+            assert np.all(w.feature_weights == 0.0)
+
+    def test_curvature_matches_finite_differences(self, problem):
+        inst, targets = problem
+        # Label mass other than 1 per object, which scales the curvature.
+        targets = targets * np.where(inst.cand_object % 2, 1.5, 0.5)
+        loss = _object_sigma_loss(inst, targets, self.obj_weight(inst, targets))
+        sigma = np.random.default_rng(1).normal(size=inst.n_sources)
+        _, _, curv = loss(sigma)
+        h = 1e-6
+        fd = np.empty_like(curv)
+        for s in range(inst.n_sources):
+            e = np.zeros(inst.n_sources)
+            e[s] = h
+            fd[:, s] = (loss(sigma + e)[1] - loss(sigma - e)[1]) / (2 * h)
+        np.testing.assert_allclose(curv, fd, atol=1e-7)
+
+    def test_one_step_from_zeros_is_not_converged(self, problem):
+        inst, targets = problem
+        cfg = LearnConfig(l1_feature_penalty=0.1, max_inner_iters=1)
+        _, diag = fit_weights(inst, targets, cfg)
+        assert diag.iterations == 1
+        assert not diag.converged
+
+    def test_nonfinite_start_rejected(self, problem):
+        inst, targets = problem
+        loss = _object_sigma_loss(inst, targets, self.obj_weight(inst, targets))
+        x0 = np.zeros(inst.n_sources + inst.n_features)
+        x0[0] = np.nan
+        with pytest.raises(ValueError):
+            _proximal_newton(inst.features, loss, 0.0, self.L2, x0, 10, 1e-6, 1.0)
+
+    @pytest.mark.parametrize("l1", [0.0, 0.1])
+    def test_no_ridge_with_an_unlabelled_source_gives_finite_weights(
+        self, problem, l1
+    ):
+        # Source 0 observes no labelled object, so its row of the curvature
+        # is 0, and without a ridge the intercept block is singular.
+        inst, _ = problem
+        seen_by_0 = set(inst.obs_object[inst.obs_source == 0].tolist())
+        labels = {o: inst.domains[o][0] for o in range(inst.n_objects)
+                  if o not in seen_by_0}
+        targets = one_hot_targets(inst, GroundTruth(dict(sorted(labels.items())[:60])))
+        assert self.obj_weight(inst, targets)[list(seen_by_0)].sum() == 0
+        cfg = LearnConfig(l1_feature_penalty=l1, l2_intercept_penalty=0.0,
+                          max_inner_iters=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, diag = fit_weights(inst, targets, cfg)
+        assert np.all(np.isfinite(w.source_intercepts))
+        assert np.all(np.isfinite(w.feature_weights))
+        assert np.isfinite(diag.objective)
 
 
 def test_import_keeps_scipy_optimize_out():
