@@ -19,8 +19,6 @@ from .model import (
     trust_score,
 )
 from .learning import (
-    EM_SOFT,
-    ERM_OBJECT,
     LearnConfig,
     fit_em,
     fit_erm_object,
@@ -77,8 +75,6 @@ __all__ = [
     "posterior_all",
     "map_values",
     "LearnConfig",
-    "ERM_OBJECT",
-    "EM_SOFT",
     "fit_erm_object",
     "fit_erm_observation",
     "fit_em",

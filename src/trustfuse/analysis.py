@@ -10,10 +10,11 @@ import numpy as np
 from .instance import FusionInstance, GroundTruth
 from .learning import (
     LearnConfig,
+    _binomial_loss,
+    _proximal_newton,
     fit_erm_object,
     object_loss_and_grad,
     one_hot_targets,
-    proximal_fit,
 )
 from .model import WeightVector, _logistic
 
@@ -157,7 +158,7 @@ def estimate_pair_state(
     Step 1 estimates the aggregate centered accuracy from the mean pairwise
     agreement; step 2 converts per-primary-source agreement counts into
     pseudo-counts of correct observations; step 3 fits feature-only logistic
-    weights to those counts.
+    weights to those counts by proximal Newton on the binomial loss.
     """
     if instance.n_sources < 3:
         raise ValueError("need at least three sources")
@@ -189,20 +190,20 @@ def estimate_pair_state(
 
     features = instance.features
 
-    def fg(w: np.ndarray) -> tuple[float, np.ndarray]:
-        eta = features @ w
-        log_a = -np.logaddexp(0.0, -eta)
-        log_1ma = -eta + log_a
-        loss = -float(a_counts @ log_a + (primary_counts - a_counts) @ log_1ma)
-        g_eta = primary_counts * np.exp(log_a) - a_counts
-        return loss, features.T @ g_eta
+    def loss(w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        value, g_eta, curv = _binomial_loss(features @ w, a_counts, primary_counts)
+        return value, features.T @ g_eta, features.T @ (curv[:, None] * features)
 
-    w, _ = proximal_fit(
-        np.zeros(instance.n_features),
-        fg,
+    # The K feature weights take the place of the solver's intercepts: no
+    # features, no L1 and no ridge.
+    w, _ = _proximal_newton(
+        np.zeros((instance.n_features, 0)),
+        loss,
+        0.0,
+        0.0,
         np.zeros(instance.n_features),
         config.max_inner_iters,
-        config.objective_tol,
+        config.objective_tol * max(1.0, float(primary_counts.max())),
     )
     acc = _logistic(features @ w)
     accuracies = {instance.sources[s]: float(acc[s]) for s in range(n_s)}

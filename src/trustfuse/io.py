@@ -86,9 +86,21 @@ def load_instance(
         if not fheader or fheader[0] != "source_id":
             raise InstanceError(f"{feat_path}: header must start with source_id")
         feature_names = tuple(fheader[1:])
+        repeated = [n for i, n in enumerate(feature_names) if n in feature_names[:i]]
+        if repeated:
+            raise InstanceError(
+                f"{feat_path}: header repeats feature name {repeated[0]!r}"
+            )
         features = np.zeros((len(sources), len(feature_names)))
+        row_of: dict[str, int] = {}
         for lineno, row in frows:
             src = row[0].strip()
+            if src in row_of:
+                raise InstanceError(
+                    f"{feat_path}, line {lineno}: duplicate features for source "
+                    f"{src!r} (first at line {row_of[src]})"
+                )
+            row_of[src] = lineno
             if src not in source_idx:
                 continue  # features for sources without observations are ignored
             if len(row) != len(fheader):

@@ -1,11 +1,13 @@
 """Parameter estimation: ERM on labels and one-coin EM on partial labels.
 
-Two losses over x = [w_s | w_k], one solver: proximal Newton
-(`_proximal_newton`), whose ``converged`` is a scale-aware KKT check. It
-fits the per-source binomial loss (`fit_erm_observation` and EM's M-step)
-and the object loss (`fit_weights`: object ERM, as `fuse --algo erm` runs
-it, and the lasso path). Only fits with copying-pair weights, whose count
-grows as S^2, and the pair estimator keep the monotone accelerated
+Two losses over x = [w_s | w_k], one stopping rule: every fit stops when its
+KKT residual (`_kkt_residual`) is at most ``objective_tol`` times the most
+observations one source has in the fit, and ``converged`` means that check
+passed. Proximal Newton (`_proximal_newton`) fits the per-source binomial
+loss (`fit_erm_observation`, EM's M-step and the pair estimator in
+`analysis`) and the object loss (`fit_weights`: object ERM, as `fuse --algo
+erm` runs it, and the lasso path). Only object fits with copying-pair
+weights, whose count grows as S^2, keep the monotone accelerated
 proximal-gradient solver (`proximal_fit`). All fits apply L1 to feature
 weights only and a ridge to intercepts (and pair weights). Fits are
 full-batch and deterministic for a fixed data order and seed.
@@ -32,8 +34,6 @@ from .model import (
 )
 
 __all__ = [
-    "ERM_OBJECT",
-    "EM_SOFT",
     "LearnConfig",
     "fit_erm_object",
     "fit_erm_observation",
@@ -46,19 +46,11 @@ __all__ = [
 
 _log = logging.getLogger("trustfuse")
 
-ERM_OBJECT = "ERM_OBJECT"
-EM_SOFT = "EM_SOFT"
-
 
 @dataclass(frozen=True)
 class LearnConfig:
-    """Penalties, iteration limits and seed shared by every fit.
+    """Penalties, iteration limits and seed shared by every fit."""
 
-    ``algorithm`` is a label only: no fit reads it, and ``EM_SOFT`` names
-    the one EM that `fit_em` runs.
-    """
-
-    algorithm: str = ERM_OBJECT
     l1_feature_penalty: float = 0.0
     l2_intercept_penalty: float = 0.01
     max_outer_iters: int = 100
@@ -273,41 +265,28 @@ def _binomial_loss(
     return loss, g_eta, curvature
 
 
-def _observation_smooth_loss(
-    instance: FusionInstance,
-    correct: np.ndarray,
-    total: np.ndarray,
-    l2: float,
-    layout: _Layout,
-) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """Binomial log-loss on observation correctness, aggregated per source."""
-    ridge = layout.ridge_mask()
-
-    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        eta = layout.trust_scores(x, instance.features)
-        loss, g_eta, _ = _binomial_loss(eta, correct, total)
-        grad = np.zeros_like(x)
-        grad[: layout.n_s] = g_eta
-        if layout.n_k:
-            grad[layout.n_s : layout.n_s + layout.n_k] = instance.features.T @ g_eta
-        loss += l2 * float(np.sum((ridge * x) ** 2))
-        grad += 2.0 * l2 * ridge * x
-        return loss, grad
-
-    return fg
-
-
 def observation_loss_and_grad(
     instance: FusionInstance,
     labels: GroundTruth,
     w: WeightVector,
     l2: float = 0.0,
 ) -> tuple[float, WeightVector]:
-    """Smooth part of the observation objective and its gradient at ``w``."""
+    """Smooth part of the observation objective and its gradient at ``w``:
+    the binomial loss of each source's correct out of total labelled
+    observations, plus the ridge."""
     layout = _Layout(instance)
     correct, total = label_correctness_counts(instance, labels.validate(instance))
-    fg = _observation_smooth_loss(instance, correct, total, l2, layout)
-    loss, grad = fg(layout.pack(w))
+    x = layout.pack(w)
+    ridge = layout.ridge_mask()
+    loss, g_eta, _ = _binomial_loss(
+        layout.trust_scores(x, instance.features), correct, total
+    )
+    grad = np.zeros_like(x)
+    grad[: layout.n_s] = g_eta
+    if layout.n_k:
+        grad[layout.n_s : layout.n_s + layout.n_k] = instance.features.T @ g_eta
+    loss += l2 * float(np.sum((ridge * x) ** 2))
+    grad += 2.0 * l2 * ridge * x
     return loss, layout.unpack(grad)
 
 
@@ -320,12 +299,24 @@ def _soft_threshold(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
+def _kkt_residual(
+    g_free: np.ndarray, v: np.ndarray, g_v: np.ndarray, l1: float | np.ndarray
+) -> float:
+    """The KKT residual every fit stops on: the largest gradient of the
+    coordinates without L1 and the largest proximal-gradient step
+    ``|v - soft(v - g_v, l1)|`` of the L1-penalised coordinates ``v``."""
+    return max(
+        np.max(np.abs(g_free), initial=0.0),
+        np.max(np.abs(v - _soft_threshold(v - g_v, l1)), initial=0.0),
+    )
+
+
 def proximal_fit(
     x0: np.ndarray,
     fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
     l1: np.ndarray,
     max_iters: int,
-    tol: float,
+    bound: float,
     step_size: float = 1.0,
 ) -> tuple[np.ndarray, Diagnostics]:
     """Minimize fg's smooth objective plus ``l1 . |x|`` by accelerated
@@ -337,13 +328,22 @@ def proximal_fit(
     accepted point keeps its objective and gradient, and they are reused
     whenever the point to evaluate is bit for bit that point (the first
     iteration, a restart, the iteration after a restart).
+
+    ``converged`` means the `_kkt_residual` at the last accepted point, with
+    the coordinates whose ``l1`` is 0 unpenalised, is at most ``bound``. The
+    fit stops there, after ``max_iters`` iterations, or when the line search
+    accepts no step.
     """
+    pen = l1 > 0
 
     def full_obj(x: np.ndarray, f: float) -> float:
         return f + float(l1 @ np.abs(x))
 
     def evaluate(p: np.ndarray) -> tuple[float, np.ndarray]:
         return (f_x, g_x) if p.tobytes() == x.tobytes() else fg(p)
+
+    def stationary(x: np.ndarray, g: np.ndarray) -> bool:
+        return bool(_kkt_residual(g[~pen], x[pen], g[pen], l1[pen]) <= bound)
 
     x = x0.copy()
     f_x, g_x = fg(x)
@@ -354,33 +354,28 @@ def proximal_fit(
     t_k = 1.0
     step = step_size
     iters = 0
-    converged = max_iters == 0
-    for iters in range(1, max_iters + 1):
+    converged = stationary(x, g_x)
+    while not converged and iters < max_iters:
+        iters += 1
         g_y = evaluate(y)[1]
-        accepted = False
         for _ in range(60):
             cand = _soft_threshold(y - step * g_y, step * l1)
             f_c, g_c = evaluate(cand)
             cand_obj = full_obj(cand, f_c)
             if np.isfinite(cand_obj) and cand_obj <= obj + 1e-12 * (1.0 + abs(obj)):
-                accepted = True
                 break
             step *= 0.5
             if not np.array_equal(y, x):
                 # Momentum overshoot: restart from the last accepted point.
                 y, g_y = x, g_x
                 t_k = 1.0
-        if not accepted:
-            converged = True
+        else:
             break
-        delta = obj - cand_obj
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
         y = cand + ((t_k - 1.0) / t_next) * (cand - x)
         x, f_x, g_x, obj, t_k = cand, f_c, g_c, cand_obj, t_next
         step = min(step * 1.2, step_size)
-        if delta < tol:
-            converged = True
-            break
+        converged = stationary(x, g_x)
     return x, Diagnostics(iterations=iters, objective=float(obj), converged=converged)
 
 
@@ -396,8 +391,7 @@ def _proximal_newton(
     l2: float,
     x0: np.ndarray,
     max_iters: int,
-    tol: float,
-    scale: float,
+    bound: float,
 ) -> tuple[np.ndarray, Diagnostics]:
     """Minimize ``loss(w_s + F w_k) + l2 |w_s|^2 + l1 |w_k|_1`` over
     x = [w_s | w_k] by proximal Newton steps (Lee, Sun & Saunders 2014).
@@ -409,16 +403,15 @@ def _proximal_newton(
     complement ``2 l2 F'(H + 2 l2)^-1 H F`` by `_lasso_qp`, and a monotone
     Armijo search on the full objective damps the step.
 
-    ``converged`` means the scale-aware KKT residual
+    ``converged`` means the `_kkt_residual`
     ``max(|grad_w|_inf, |w_k - soft(w_k - grad_k, l1)|_inf)`` is at most
-    ``tol * max(1, scale)``. The fit stops there, after ``max_iters`` steps,
-    or when the line search finds no decrease.
+    ``bound``. The fit stops there, after ``max_iters`` steps, or when the
+    line search finds no decrease.
     """
     x = np.array(x0, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite initial point")
     n_s = features.shape[0]
-    bound = tol * max(1.0, scale)
 
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         w, v = x[:n_s], x[n_s:]
@@ -432,11 +425,7 @@ def _proximal_newton(
         w, v = x[:n_s], x[n_s:]
         g_w = g_sigma + 2.0 * l2 * w
         g_v = features.T @ g_sigma
-        residual = max(
-            np.max(np.abs(g_w), initial=0.0),
-            np.max(np.abs(v - _soft_threshold(v - g_v, l1)), initial=0.0),
-        )
-        if residual <= bound:
+        if _kkt_residual(g_w, v, g_v, l1) <= bound:
             converged = True
             break
         if steps == max_iters:
@@ -497,7 +486,8 @@ def _fit_binomial(
 ) -> tuple[np.ndarray, Diagnostics]:
     """`_proximal_newton` on the binomial loss of ``correct`` out of
     ``total`` per source, whose curvature in sigma is diagonal. The KKT
-    bound scales with the most observations of one source."""
+    bound is ``tol`` times the most observations of one source (at least 1).
+    """
     return _proximal_newton(
         features,
         lambda eta: _binomial_loss(eta, correct, total),
@@ -505,8 +495,7 @@ def _fit_binomial(
         l2,
         x0,
         max_iters,
-        tol,
-        float(np.max(total, initial=0)),
+        tol * max(1.0, float(np.max(total, initial=0))),
     )
 
 
@@ -550,12 +539,12 @@ def fit_weights(
     ``targets`` is a flat candidate array of per-object label mass (one-hot
     for labels); objects with zero mass do not contribute.
 
-    Without copying pairs the fit is proximal Newton (`_proximal_newton`):
-    ``converged`` means the KKT residual is at most ``objective_tol`` times
-    the most labelled observations of any source (at least 1), reached
-    within ``max_inner_iters`` Newton steps. With copying pairs it is
-    `proximal_fit`, which stops when one step lowers the objective by less
-    than ``objective_tol``, or after ``max_inner_iters`` iterations.
+    ``converged`` means the KKT residual (`_kkt_residual`) is at most
+    ``objective_tol`` times the most labelled observations of any source (at
+    least 1), reached within ``max_inner_iters`` steps. Without copying pairs
+    the steps are proximal Newton (`_proximal_newton`). With them they are
+    accelerated proximal gradient (`proximal_fit`): up to S(S-1)/2 pair
+    weights make a dense Newton step too costly.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.shape != (instance.n_candidates,):
@@ -565,10 +554,15 @@ def fit_weights(
     )
     if not np.any(obj_weight > 0):
         raise ValueError("targets must cover at least one object")
+    labelled_obs = np.bincount(
+        instance.obs_source,
+        weights=obj_weight[instance.obs_object],
+        minlength=instance.n_sources,
+    )
+    bound = config.objective_tol * max(1.0, float(np.max(labelled_obs)))
     layout = _Layout(instance)
     x0 = layout.pack(init if init is not None else WeightVector.zeros(instance))
     if instance.pairs:
-        # Up to S(S-1)/2 pair weights: too many for a dense Newton step.
         fg = _object_smooth_loss(
             instance, targets, obj_weight, config.l2_intercept_penalty, layout
         )
@@ -577,14 +571,9 @@ def fit_weights(
             fg,
             layout.l1_weights(config.l1_feature_penalty),
             config.max_inner_iters,
-            config.objective_tol,
+            bound,
         )
     else:
-        labelled_obs = np.bincount(
-            instance.obs_source,
-            weights=obj_weight[instance.obs_object],
-            minlength=instance.n_sources,
-        )
         x, diag = _proximal_newton(
             instance.features,
             _object_sigma_loss(instance, targets, obj_weight),
@@ -592,8 +581,7 @@ def fit_weights(
             config.l2_intercept_penalty,
             x0,
             config.max_inner_iters,
-            config.objective_tol,
-            float(np.max(labelled_obs)),
+            bound,
         )
     return layout.unpack(x), diag
 

@@ -138,8 +138,8 @@ def decide(
     """Pick ERM or EM for this instance.
 
     ERM wins outright when sqrt(|K|/|G|) * ln(max(|G|, 2)) <= tau; otherwise
-    EM wins iff its estimated units exceed the ground-truth units. No labels
-    forces EM.
+    EM wins iff its estimated units exceed the ground-truth units, so ERM
+    wins when they cannot be estimated. No labels forces EM.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -165,9 +165,9 @@ def decide(
     elif n_g == 0:
         choice = "EM"
     else:
-        if units_em is None:
-            raise ValueError("cannot estimate EM units for this instance")
-        choice = "EM" if units_em > units_gt else "ERM"
+        # EM units that cannot be estimated (fewer than two sources) do not
+        # exceed the label units.
+        choice = "EM" if units_em is not None and units_em > units_gt else "ERM"
     return OptimizerDecision(
         choice=choice,
         erm_bound=bound,

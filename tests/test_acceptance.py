@@ -15,7 +15,6 @@ import pytest
 from scipy import stats
 
 from trustfuse import (
-    EM_SOFT,
     FusionInstance,
     GroundTruth,
     LearnConfig,
@@ -219,7 +218,7 @@ def test_04_soft_em_monotone(report):
     for seed in range(10):
         sim = generate(SimConfig(n_sources=30, n_objects=80, density=0.15,
                                  accuracy_mean=0.75, seed=seed))
-        cfg = LearnConfig(algorithm=EM_SOFT, seed=seed)
+        cfg = LearnConfig(seed=seed)
         _, _, diag = fit_em(sim.instance, GroundTruth({}), cfg)
         drops = np.diff(np.asarray(diag.history))
         if drops.size:

@@ -183,6 +183,21 @@ class TestPairEstimator:
         for a in state.accuracies.values():
             assert a > 0.95
 
+    def test_weights_pass_the_kkt_check(self):
+        # The fit is the binomial loss of a_counts out of primary_counts in
+        # the feature weights alone, with no penalty: its gradient must be
+        # within the scale-aware bound.
+        sim = generate(SimConfig(n_sources=40, n_objects=2000, pair_sampling=True,
+                                 true_weights=(2.0, 1.0), feature_density=0.5,
+                                 seed=4))
+        cfg = LearnConfig(seed=0)
+        state = estimate_pair_state(sim.instance, 0.1, cfg)
+        feats = sim.instance.features
+        acc = 1.0 / (1.0 + np.exp(-(feats @ state.weights)))
+        grad = feats.T @ (state.primary_counts * acc - state.a_counts)
+        bound = cfg.objective_tol * max(1.0, state.primary_counts.max())
+        assert np.max(np.abs(grad)) <= bound
+
     def test_counts_clamped_to_valid_range(self):
         sim = generate(SimConfig(n_sources=8, n_objects=800, pair_sampling=True,
                                  true_weights=(1.5, -0.5), seed=3))

@@ -103,6 +103,27 @@ class TestLoadInstance:
         assert inst.features[0, 0] == 1.0
         assert inst.features[1, 0] == 0.0  # absent source row defaults to zero
 
+    def test_repeated_feature_row_names_both_lines(self, tmp_path):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("object_id,source_id,value\no0,s0,a\no0,s1,b\n")
+        feats = tmp_path / "features.csv"
+        feats.write_text("source_id,f0\ns0,1.0\ns1,2.0\ns0,5.0\n")
+        with pytest.raises(InstanceError) as err:
+            load_instance(obs, feats)
+        msg = str(err.value)
+        assert "features.csv" in msg and "line 4" in msg and "line 2" in msg
+        assert "'s0'" in msg
+
+    def test_repeated_feature_name_rejected(self, tmp_path):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("object_id,source_id,value\no0,s0,a\no0,s1,b\n")
+        feats = tmp_path / "features.csv"
+        feats.write_text("source_id,f0,f1,f0\ns0,1.0,0.0,2.0\ns1,0.0,1.0,0.0\n")
+        with pytest.raises(InstanceError) as err:
+            load_instance(obs, feats)
+        msg = str(err.value)
+        assert "features.csv" in msg and "'f0'" in msg
+
     def test_simulate_round_trip_identical_instance(self, tmp_path):
         sim = generate(SimConfig(n_sources=10, n_objects=60, density=0.3,
                                  true_weights=(1.5,), seed=17))
@@ -131,6 +152,21 @@ class TestFuseCommand:
             assert result["optimizer"]["choice"] in ("ERM", "EM")
         else:
             assert result["optimizer"] is None
+
+    def test_auto_on_one_labelled_source_runs_erm(self, tmp_path):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("object_id,source_id,value\no0,s0,a\no1,s0,b\no2,s0,a\n")
+        feats = tmp_path / "features.csv"
+        feats.write_text("source_id,f0\ns0,1.0\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("object_id,value\no0,a\no1,b\n")
+        out = tmp_path / "r.json"
+        code = run("fuse", "--observations", obs, "--features", feats,
+                   "--truth", truth, "--algo", "auto", "--out", out)
+        assert code == 0
+        result = json.loads(out.read_text())
+        assert result["algorithm"] == "ERM"
+        assert result["optimizer"]["choice"] == "ERM"
 
     def test_byte_identical_reruns(self, sim_dir, tmp_path):
         outs = []

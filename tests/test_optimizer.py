@@ -188,6 +188,17 @@ class TestDecide:
         assert d_full.em_units <= d_full.ground_truth_units
         assert d_full.choice == "ERM"
 
+    def test_one_source_with_labels_picks_erm(self):
+        # One source leaves the EM units unestimable; they cannot exceed the
+        # label units, so ERM wins.
+        inst = FusionInstance.from_triples(
+            ["s0"], ["o0", "o1", "o2"], [(0, 0, "a"), (1, 0, "b"), (2, 0, "a")]
+        )
+        d = decide(inst, GroundTruth({0: "a", 1: "b"}), tau=0.1, n_features=4)
+        assert d.erm_bound > d.tau
+        assert d.em_units is None and d.estimated_avg_accuracy is None
+        assert d.choice == "ERM"
+
     def test_deterministic(self):
         sim = generate(SimConfig(n_sources=15, n_objects=60, density=0.2, seed=3))
         gt = sim.truth.restricted_to_domains(sim.instance)
