@@ -144,7 +144,7 @@ def _reduce_to_pairs(
         if rows.size > 2:
             pick = rng.choice(rows.size, size=2, replace=False)
             rows = rows[np.sort(pick)]
-        kept.append((o, instance.obs_source[rows], instance.obs_value_idx[rows]))
+        kept.append((o, instance.obs_source[rows], instance.obs_cand[rows]))
     return kept
 
 

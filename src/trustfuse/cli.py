@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis, evaluation, learning, optimizer, simulation
 from .instance import FusionInstance, GroundTruth, InstanceError
-from .io import dump_json, load_instance, write_instance
+from .io import dump_json, load_instance, read_features, write_instance
 from .model import WeightVector
 from .pipeline import fuse
 
@@ -97,7 +97,7 @@ def _run_lasso_path(args: argparse.Namespace) -> int:
     instance, truth = load_instance(args.observations, args.features, args.truth)
     if truth is None:
         raise InstanceError("lasso-path requires a truth file")
-    config = learning.LearnConfig(l2_intercept_penalty=args.l2, seed=args.seed)
+    config = learning.LearnConfig(l2_intercept_penalty=args.l2)
     path = analysis.lasso_path(instance, truth, args.grid, config)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -206,32 +206,21 @@ def _run_predict_sources(args: argparse.Namespace) -> int:
     feature_weights = weights.get("features", {}) if isinstance(weights, dict) else None
     if not isinstance(feature_weights, dict):
         raise InstanceError(f"{args.weights}: no weights.features object")
-    with open(args.features, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        if not header or header[0] != "source_id":
-            raise InstanceError(f"{args.features}: header must start with source_id")
-        names = header[1:]
-        missing = [n for n in names if n not in feature_weights]
-        if missing:
-            raise InstanceError(
-                f"{args.features}: features {missing} absent from weights file"
-            )
-        w = WeightVector(
-            source_intercepts=np.zeros(0),
-            feature_weights=np.array(
-                [_feature_weight(args.weights, n, feature_weights[n]) for n in names]
-            ),
+    names, table = read_features(args.features)
+    missing = [n for n in names if n not in feature_weights]
+    if missing:
+        raise InstanceError(
+            f"{args.features}: features {missing} absent from weights file"
         )
-        preds = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                f = np.array([float(c) for c in row[1:]])
-                preds[row[0].strip()] = analysis.predict_new_source_accuracy(w, f)
-            except ValueError as exc:
-                raise InstanceError(f"{args.features}, line {lineno}: {exc}") from None
+    w = WeightVector(
+        source_intercepts=np.zeros(0),
+        feature_weights=np.array(
+            [_feature_weight(args.weights, n, feature_weights[n]) for n in names]
+        ),
+    )
+    preds = {
+        src: analysis.predict_new_source_accuracy(w, row) for src, row in table.items()
+    }
     dump_json({"accuracies": preds}, args.out)
     return EXIT_OK
 
@@ -280,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--features", default=None)
     opt.add_argument("--truth", default=None)
     opt.add_argument("--tau", type=float, default=0.1)
-    opt.add_argument("--seed", type=int, default=0)
     opt.set_defaults(func=_run_optimize)
 
     lasso = sub.add_parser("lasso-path", help="L1 regularization path CSV")
@@ -289,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     lasso.add_argument("--truth", required=True)
     lasso.add_argument("--grid", type=int, default=50)
     lasso.add_argument("--l2", type=float, default=0.01)
-    lasso.add_argument("--seed", type=int, default=0)
     lasso.add_argument("--out", required=True)
     lasso.set_defaults(func=_run_lasso_path)
 

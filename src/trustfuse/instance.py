@@ -1,14 +1,14 @@
 """Immutable fusion-instance and ground-truth containers.
 
 A fusion instance bundles the sources, the objects, the conflicting
-observations, the per-object candidate domains, and an optional per-source
+observations, the per-object candidate values, and an optional per-source
 feature matrix. Everything is frozen after construction; downstream code
 treats instances as values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -28,25 +28,32 @@ _UNREPORTED = -2
 
 
 class InstanceError(ValueError):
-    """Raised when an instance or ground truth violates a structural rule."""
+    """Raised when an instance or ground truth violates a structural rule;
+    ``positions`` are the input rows at fault, if the rule is about rows."""
+
+    def __init__(self, message: str, positions: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.positions = positions
 
 
 @dataclass(frozen=True)
 class FusionInstance:
-    """Sources, objects, observations and candidate domains, index-based.
+    """Sources, objects, observations and candidates, index-based and flat.
 
-    Observations are stored column-wise: ``obs_object[i]``, ``obs_source[i]``
-    and ``obs_value_idx[i]`` describe the i-th observation, where the value
-    index points into ``domains[obs_object[i]]``. Candidate domains list the
-    distinct values observed per object, in first-appearance order.
+    Observation i is (``obs_object[i]``, ``obs_source[i]``, ``obs_cand[i]``),
+    where ``obs_cand`` indexes ``cand_values``. Object o's candidates are
+    ``cand_values[cand_offsets[o]:cand_offsets[o + 1]]``: the distinct values
+    observed for it, in first-appearance order. ``domains`` and
+    ``obs_value_idx`` are read-only views derived from these arrays.
     """
 
     sources: tuple[str, ...]
     objects: tuple[str, ...]
     obs_object: np.ndarray
     obs_source: np.ndarray
-    obs_value_idx: np.ndarray
-    domains: tuple[tuple[str, ...], ...]
+    obs_cand: np.ndarray
+    cand_values: tuple[str, ...]
+    cand_offsets: np.ndarray
     features: np.ndarray
     feature_names: tuple[str, ...] = ()
     # Registered copying pairs (i < j); empty unless add_copying_features ran.
@@ -63,40 +70,48 @@ class FusionInstance:
     ) -> "FusionInstance":
         """Build an instance from (object index, source index, value) triples.
 
-        Rejects duplicate (object, source) pairs, out-of-range indices,
-        objects with zero observations, and non-finite feature values.
+        Rejects out-of-range indices, then duplicate (object, source) pairs
+        (the error's ``positions`` are the first triple and its repeat),
+        then objects with zero observations, then non-finite feature values.
+        Each object's candidates come in the order the triples first report
+        them.
         """
         sources = tuple(sources)
         objects = tuple(objects)
         n_s, n_o = len(sources), len(objects)
-        domains: list[list[str]] = [[] for _ in range(n_o)]
-        value_pos: list[dict[str, int]] = [{} for _ in range(n_o)]
-        seen: set[tuple[int, int]] = set()
-        obs_o: list[int] = []
-        obs_s: list[int] = []
-        obs_v: list[int] = []
-        for o, s, value in triples:
-            if not (0 <= o < n_o):
-                raise InstanceError(f"object index {o} out of range")
-            if not (0 <= s < n_s):
-                raise InstanceError(f"source index {s} out of range")
-            if (o, s) in seen:
-                raise InstanceError(
-                    f"duplicate observation for object {objects[o]!r} "
-                    f"and source {sources[s]!r}"
-                )
-            seen.add((o, s))
-            pos = value_pos[o].get(value)
-            if pos is None:
-                pos = len(domains[o])
-                value_pos[o][value] = pos
-                domains[o].append(value)
-            obs_o.append(o)
-            obs_s.append(s)
-            obs_v.append(pos)
-        for o, dom in enumerate(domains):
-            if not dom:
-                raise InstanceError(f"object {objects[o]!r} has no observations")
+        obs_o, obs_s, values = tuple(zip(*triples)) or ((), (), ())
+        obs_o = np.asarray(obs_o, dtype=np.int64)
+        obs_s = np.asarray(obs_s, dtype=np.int64)
+        for name, idx, n in (("object", obs_o, n_o), ("source", obs_s, n_s)):
+            bad = np.flatnonzero((idx < 0) | (idx >= n))
+            if bad.size:
+                raise InstanceError(f"{name} index {idx[bad[0]]} out of range")
+        _, first, pair = np.unique(
+            obs_o * n_s + obs_s, return_index=True, return_inverse=True
+        )
+        repeats = np.flatnonzero(first[pair] != np.arange(obs_o.size))
+        if repeats.size:
+            i = int(repeats[0])
+            raise InstanceError(
+                f"duplicate observation for object {objects[obs_o[i]]!r} "
+                f"and source {sources[obs_s[i]]!r}",
+                positions=(int(first[pair[i]]), i),
+            )
+        empty = np.flatnonzero(np.bincount(obs_o, minlength=n_o) == 0)
+        if empty.size:
+            raise InstanceError(f"object {objects[empty[0]]!r} has no observations")
+        # Candidates are the distinct (object, value code) keys, ranked by
+        # object and then by first appearance.
+        codes: dict[str, int] = {}
+        value_code = [codes.setdefault(v, len(codes)) for v in values]
+        _, first, cand = np.unique(
+            obs_o * max(len(codes), 1) + np.asarray(value_code, dtype=np.int64),
+            return_index=True,
+            return_inverse=True,
+        )
+        order = np.lexsort((first, obs_o[first]))
+        cand_counts = np.bincount(obs_o[first], minlength=n_o)
+
         if features is None:
             features = np.zeros((n_s, len(feature_names)), dtype=float)
         features = np.asarray(features, dtype=float)
@@ -110,10 +125,11 @@ class FusionInstance:
         return cls(
             sources=sources,
             objects=objects,
-            obs_object=np.asarray(obs_o, dtype=np.int64),
-            obs_source=np.asarray(obs_s, dtype=np.int64),
-            obs_value_idx=np.asarray(obs_v, dtype=np.int64),
-            domains=tuple(tuple(d) for d in domains),
+            obs_object=obs_o,
+            obs_source=obs_s,
+            obs_cand=np.argsort(order)[cand],
+            cand_values=tuple(values[i] for i in first[order].tolist()),
+            cand_offsets=np.concatenate(([0], np.cumsum(cand_counts))),
             features=features,
             feature_names=tuple(feature_names),
         )
@@ -141,23 +157,11 @@ class FusionInstance:
     @cached_property
     def cand_counts(self) -> np.ndarray:
         """Domain size |D_o| per object."""
-        return np.array([len(d) for d in self.domains], dtype=np.int64)
-
-    @cached_property
-    def cand_offsets(self) -> np.ndarray:
-        """Offsets of each object's candidate block in the flat layout."""
-        off = np.zeros(self.n_objects + 1, dtype=np.int64)
-        np.cumsum(self.cand_counts, out=off[1:])
-        return off
+        return np.diff(self.cand_offsets)
 
     @property
     def n_candidates(self) -> int:
         return int(self.cand_offsets[-1])
-
-    @cached_property
-    def obs_cand(self) -> np.ndarray:
-        """Flat candidate index of each observation's value."""
-        return self.cand_offsets[self.obs_object] + self.obs_value_idx
 
     @cached_property
     def cand_object(self) -> np.ndarray:
@@ -165,9 +169,19 @@ class FusionInstance:
         return np.repeat(np.arange(self.n_objects), self.cand_counts)
 
     @cached_property
-    def cand_values(self) -> tuple[str, ...]:
-        """Value of each flat candidate slot."""
-        return tuple(v for dom in self.domains for v in dom)
+    def domains(self) -> tuple[tuple[str, ...], ...]:
+        """Candidate values per object, in first-appearance order."""
+        bounds = self.cand_offsets.tolist()
+        return tuple(
+            self.cand_values[a:b] for a, b in zip(bounds[:-1], bounds[1:])
+        )
+
+    @cached_property
+    def obs_value_idx(self) -> np.ndarray:
+        """Position of each observation's value within its object's domain."""
+        idx = self.obs_cand - self.cand_offsets[self.obs_object]
+        idx.flags.writeable = False
+        return idx
 
     @cached_property
     def obs_counts(self) -> np.ndarray:
@@ -225,7 +239,7 @@ class FusionInstance:
         pos = np.minimum(np.searchsorted(pair_keys[by_key], keys), by_key.size - 1)
         pair_id = by_key[pos]
         fires = (pair_keys[pair_id] == keys) & (
-            self.obs_value_idx[first] == self.obs_value_idx[second]
+            self.obs_cand[first] == self.obs_cand[second]
         )
         return (
             self.obs_object[first[fires]],
@@ -241,23 +255,18 @@ class FusionInstance:
         for i, j in norm:
             if i == j or not (0 <= i < self.n_sources and 0 <= j < self.n_sources):
                 raise InstanceError(f"invalid copying pair ({i}, {j})")
-        return FusionInstance(
-            sources=self.sources,
-            objects=self.objects,
-            obs_object=self.obs_object,
-            obs_source=self.obs_source,
-            obs_value_idx=self.obs_value_idx,
-            domains=self.domains,
-            features=self.features,
-            feature_names=self.feature_names,
-            pairs=norm,
-        )
+        return replace(self, pairs=norm)
 
     def triples(self) -> list[tuple[int, int, str]]:
         """Observations as (object index, source index, value) triples."""
+        values = self.cand_values
         return [
-            (int(o), int(s), self.domains[o][v])
-            for o, s, v in zip(self.obs_object, self.obs_source, self.obs_value_idx)
+            (o, s, values[c])
+            for o, s, c in zip(
+                self.obs_object.tolist(),
+                self.obs_source.tolist(),
+                self.obs_cand.tolist(),
+            )
         ]
 
     def __eq__(self, other: object) -> bool:
@@ -314,15 +323,14 @@ class GroundTruth:
         gets -2; an object index outside the instance raises.
         """
         idx = np.full(instance.n_objects, _UNLABELLED, dtype=np.int64)
+        bounds = instance.cand_offsets.tolist()
         for o, value in self.labels.items():
             if not (0 <= o < instance.n_objects):
                 raise InstanceError(f"ground-truth object index {o} out of range")
-            dom = instance.domains[o]
-            idx[o] = (
-                instance.cand_offsets[o] + dom.index(value)
-                if value in dom
-                else _UNREPORTED
-            )
+            try:
+                idx[o] = instance.cand_values.index(value, bounds[o], bounds[o + 1])
+            except ValueError:
+                idx[o] = _UNREPORTED
         return idx
 
     def validate(self, instance: FusionInstance) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from .simulation import SimResult
 
 __all__ = [
     "load_instance",
+    "read_features",
     "write_instance",
     "dump_json",
     "round_floats",
@@ -39,6 +41,54 @@ def _read_rows(path: Path, expected_min_cols: int) -> tuple[list[str], list[tupl
     return [h.strip() for h in header], rows
 
 
+def read_features(path: str | Path) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
+    """Read a features CSV: the feature names, and each source's feature row
+    keyed by source id in file order.
+
+    Rule violations raise InstanceError naming the file, line, and rule.
+    """
+    path = Path(path)
+    header, rows = _read_rows(path, 1)
+    if header[:1] != ["source_id"]:
+        raise InstanceError(f"{path}, line 1: header must start with source_id")
+    names = tuple(header[1:])
+    repeated = [n for i, n in enumerate(names) if n in names[:i]]
+    if repeated:
+        raise InstanceError(
+            f"{path}, line 1: header repeats feature name {repeated[0]!r}"
+        )
+    table: dict[str, np.ndarray] = {}
+    line_of: dict[str, int] = {}
+    for lineno, row in rows:
+        src = row[0].strip()
+        if src in line_of:
+            raise InstanceError(
+                f"{path}, line {lineno}: duplicate features for source "
+                f"{src!r} (first at line {line_of[src]})"
+            )
+        line_of[src] = lineno
+        if len(row) != len(header):
+            raise InstanceError(
+                f"{path}, line {lineno}: expected "
+                f"{len(header)} columns, got {len(row)}"
+            )
+        values = []
+        for name, cell in zip(names, row[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = None
+            if value is None or not math.isfinite(value):
+                kind = "non-numeric" if value is None else "non-finite"
+                raise InstanceError(
+                    f"{path}, line {lineno}: {kind} feature value "
+                    f"{cell.strip()!r} for {name!r}"
+                )
+            values.append(value)
+        table[src] = np.array(values)
+    return names, table
+
+
 def load_instance(
     observations_path: str | Path,
     features_path: str | Path | None = None,
@@ -47,7 +97,8 @@ def load_instance(
     """Load an instance (and ground truth, when given) from CSV files.
 
     Values are normalized by trimming surrounding whitespace only. Rule
-    violations raise InstanceError naming the file, line, and rule.
+    violations raise InstanceError naming the file, line, and rule; feature
+    rows for sources without observations are checked, then ignored.
     """
     obs_path = Path(observations_path)
     header, rows = _read_rows(obs_path, 3)
@@ -55,71 +106,38 @@ def load_instance(
         raise InstanceError(
             f"{obs_path}: header must be object_id,source_id,value"
         )
-    sources: list[str] = []
-    objects: list[str] = []
-    source_idx: dict[str, int] = {}
+    # Ids are numbered in order of first appearance.
     object_idx: dict[str, int] = {}
-    seen: dict[tuple[int, int], int] = {}
-    triples: list[tuple[int, int, str]] = []
-    for lineno, row in rows:
-        obj, src, value = (c.strip() for c in row[:3])
-        if obj not in object_idx:
-            object_idx[obj] = len(objects)
-            objects.append(obj)
-        if src not in source_idx:
-            source_idx[src] = len(sources)
-            sources.append(src)
-        key = (object_idx[obj], source_idx[src])
-        if key in seen:
-            raise InstanceError(
-                f"{obs_path}, line {lineno}: duplicate observation for object "
-                f"{obj!r} and source {src!r} (first at line {seen[key]})"
-            )
-        seen[key] = lineno
-        triples.append((object_idx[obj], source_idx[src], value))
+    source_idx: dict[str, int] = {}
+    triples = [
+        (
+            object_idx.setdefault(row[0].strip(), len(object_idx)),
+            source_idx.setdefault(row[1].strip(), len(source_idx)),
+            row[2].strip(),
+        )
+        for _, row in rows
+    ]
 
     features = None
     feature_names: tuple[str, ...] = ()
     if features_path is not None:
-        feat_path = Path(features_path)
-        fheader, frows = _read_rows(feat_path, 1)
-        if not fheader or fheader[0] != "source_id":
-            raise InstanceError(f"{feat_path}: header must start with source_id")
-        feature_names = tuple(fheader[1:])
-        repeated = [n for i, n in enumerate(feature_names) if n in feature_names[:i]]
-        if repeated:
-            raise InstanceError(
-                f"{feat_path}: header repeats feature name {repeated[0]!r}"
-            )
-        features = np.zeros((len(sources), len(feature_names)))
-        row_of: dict[str, int] = {}
-        for lineno, row in frows:
-            src = row[0].strip()
-            if src in row_of:
-                raise InstanceError(
-                    f"{feat_path}, line {lineno}: duplicate features for source "
-                    f"{src!r} (first at line {row_of[src]})"
-                )
-            row_of[src] = lineno
-            if src not in source_idx:
-                continue  # features for sources without observations are ignored
-            if len(row) != len(fheader):
-                raise InstanceError(
-                    f"{feat_path}, line {lineno}: expected "
-                    f"{len(fheader)} columns, got {len(row)}"
-                )
-            for k, cell in enumerate(row[1:]):
-                try:
-                    features[source_idx[src], k] = float(cell)
-                except ValueError:
-                    raise InstanceError(
-                        f"{feat_path}, line {lineno}: non-numeric feature "
-                        f"value {cell.strip()!r} for {fheader[k + 1]!r}"
-                    ) from None
+        feature_names, table = read_features(features_path)
+        features = np.zeros((len(source_idx), len(feature_names)))
+        for src, row in table.items():
+            if src in source_idx:
+                features[source_idx[src]] = row
 
-    instance = FusionInstance.from_triples(
-        sources, objects, triples, features, feature_names
-    )
+    try:
+        instance = FusionInstance.from_triples(
+            tuple(source_idx), tuple(object_idx), triples, features, feature_names
+        )
+    except InstanceError as exc:
+        if not exc.positions:
+            raise
+        first, repeat = (rows[i][0] for i in exc.positions)
+        raise InstanceError(
+            f"{obs_path}, line {repeat}: {exc} (first at line {first})"
+        ) from None
 
     truth = None
     if truth_path is not None:

@@ -605,7 +605,6 @@ def fit_erm_observation(
     instance: FusionInstance,
     ground_truth: GroundTruth,
     config: LearnConfig,
-    init: WeightVector | None = None,
 ) -> tuple[WeightVector, Diagnostics]:
     """Regularized logistic regression on observation-correctness labels:
     the per-source binomial loss of each source's correct out of total
@@ -624,14 +623,13 @@ def fit_erm_observation(
     correct, total = label_correctness_counts(
         instance, ground_truth.validate(instance)
     )
-    x0 = layout.pack(init if init is not None else WeightVector.zeros(instance))
     x, diag = _fit_binomial(
         instance.features,
         correct,
         total,
         config.l1_feature_penalty,
         config.l2_intercept_penalty,
-        x0,
+        layout.pack(WeightVector.zeros(instance)),
         config.max_inner_iters,
         config.objective_tol,
     )

@@ -39,29 +39,15 @@ class OptimizerDecision:
 def agreement_matrix(instance: FusionInstance) -> np.ndarray:
     """Mean pairwise agreement-minus-disagreement; 0 where no overlap."""
     n = instance.n_sources
-    # Observations in object order, and each object's block in that order.
-    order, bounds = instance._obs_by_object
-    peer_source = instance.obs_source[order]
-    peer_value = instance.obs_value_idx[order]
-    num = np.zeros((n, n))
-    cnt = np.zeros((n, n))
-    by_source = np.argsort(instance.obs_source, kind="stable")
-    source_bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(instance.source_obs_counts, out=source_bounds[1:])
-    for s in range(n):
-        # Every observation of every object that source s observes, with
-        # the value s reported for that object beside it.
-        mine = by_source[source_bounds[s] : source_bounds[s + 1]]
-        objs = instance.obs_object[mine]
-        sizes = instance.obs_counts[objs]
-        block_start = np.repeat(bounds[objs] - np.cumsum(sizes) + sizes, sizes)
-        rows = block_start + np.arange(block_start.size)
-        same = peer_value[rows] == np.repeat(instance.obs_value_idx[mine], sizes)
-        peers = peer_source[rows]
-        cnt[s] = np.bincount(peers, minlength=n)
-        num[s] = 2 * np.bincount(peers[same], minlength=n) - cnt[s]
-    # num is 0 wherever cnt is, so pairs with no overlap get 0.
-    x = num / np.maximum(cnt, 1.0)
+    first, second = instance.obs_pairs
+    # One key per pair of observations of one object, i * n + j with i < j.
+    keys = instance.obs_source[first] * n + instance.obs_source[second]
+    same = instance.obs_cand[first] == instance.obs_cand[second]
+    cnt = np.bincount(keys, minlength=n * n).reshape(n, n)
+    agree = np.bincount(keys[same], minlength=n * n).reshape(n, n)
+    cnt = cnt + cnt.T
+    # The numerator is 0 wherever cnt is, so pairs with no overlap get 0.
+    x = (2 * (agree + agree.T) - cnt) / np.maximum(cnt, 1.0)
     np.fill_diagonal(x, 0.0)
     return x
 

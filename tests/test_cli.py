@@ -124,6 +124,26 @@ class TestLoadInstance:
         msg = str(err.value)
         assert "features.csv" in msg and "'f0'" in msg
 
+    def test_nonfinite_feature_in_fuse_names_file_and_line(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("object_id,source_id,value\no0,s0,a\no0,s1,b\n")
+        feats = tmp_path / "features.csv"
+        feats.write_text("source_id,f0\ns0,1.0\ns1,nan\n")
+        code = run("fuse", "--observations", obs, "--features", feats,
+                   "--algo", "majority", "--out", tmp_path / "r.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "features.csv" in err and "line 3" in err and "'nan'" in err
+
+    def test_malformed_row_of_unobserved_source_rejected(self, tmp_path):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("object_id,source_id,value\no0,s0,a\no0,s1,b\n")
+        feats = tmp_path / "features.csv"
+        feats.write_text("source_id,f0\ns0,1.0\nghost,inf\n")
+        with pytest.raises(InstanceError) as err:
+            load_instance(obs, feats)
+        assert "features.csv" in str(err.value) and "line 3" in str(err.value)
+
     def test_simulate_round_trip_identical_instance(self, tmp_path):
         sim = generate(SimConfig(n_sources=10, n_objects=60, density=0.3,
                                  true_weights=(1.5,), seed=17))
@@ -444,6 +464,32 @@ class TestPredictSourcesCommand:
         assert "w.json" in err
         if feature:
             assert repr(feature) in err
+
+    def test_repeated_feature_name_is_error(self, tmp_path, capsys):
+        weights_file = tmp_path / "w.json"
+        weights_file.write_text(json.dumps({"weights": {"features": {"f0": 2.0}}}))
+        feats = tmp_path / "f.csv"
+        feats.write_text("source_id,f0,f0\nn0,1,1\n")
+        out = tmp_path / "p.json"
+        code = run("predict-sources", "--weights", weights_file,
+                   "--features", feats, "--out", out)
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "f.csv" in err and "'f0'" in err
+
+    def test_repeated_source_row_names_both_lines(self, tmp_path, capsys):
+        weights_file = tmp_path / "w.json"
+        weights_file.write_text(json.dumps({"weights": {"features": {"f0": 1.0}}}))
+        feats = tmp_path / "f.csv"
+        feats.write_text("source_id,f0\nn0,1\nn1,0\nn0,0\n")
+        out = tmp_path / "p.json"
+        code = run("predict-sources", "--weights", weights_file,
+                   "--features", feats, "--out", out)
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "f.csv" in err and "line 4" in err and "line 2" in err
 
     def test_unknown_feature_column_is_error(self, tmp_path):
         weights_file = tmp_path / "w.json"

@@ -12,6 +12,7 @@ from scipy import special
 from trustfuse import (
     FusionInstance,
     GroundTruth,
+    InstanceError,
     WeightVector,
     add_copying_features,
     em_units,
@@ -30,6 +31,44 @@ from conftest import random_weights
 
 
 # -- references: the loop implementations the kernels replaced -------------
+
+
+def ref_from_triples(sources, objects, triples):
+    """The per-triple loop `FusionInstance.from_triples` replaced: returns
+    (obs_object, obs_source, obs_value_idx, domains)."""
+    n_s, n_o = len(sources), len(objects)
+    domains = [[] for _ in range(n_o)]
+    value_pos = [{} for _ in range(n_o)]
+    seen = set()
+    obs_o, obs_s, obs_v = [], [], []
+    for o, s, value in triples:
+        if not (0 <= o < n_o):
+            raise InstanceError(f"object index {o} out of range")
+        if not (0 <= s < n_s):
+            raise InstanceError(f"source index {s} out of range")
+        if (o, s) in seen:
+            raise InstanceError(
+                f"duplicate observation for object {objects[o]!r} "
+                f"and source {sources[s]!r}"
+            )
+        seen.add((o, s))
+        pos = value_pos[o].get(value)
+        if pos is None:
+            pos = len(domains[o])
+            value_pos[o][value] = pos
+            domains[o].append(value)
+        obs_o.append(o)
+        obs_s.append(s)
+        obs_v.append(pos)
+    for o, dom in enumerate(domains):
+        if not dom:
+            raise InstanceError(f"object {objects[o]!r} has no observations")
+    return (
+        np.asarray(obs_o, dtype=np.int64),
+        np.asarray(obs_s, dtype=np.int64),
+        np.asarray(obs_v, dtype=np.int64),
+        tuple(tuple(d) for d in domains),
+    )
 
 
 def ref_candidate_scores(instance, w):
@@ -223,7 +262,57 @@ def planted_ties(rng, max_values):
     return inst, values
 
 
+# Values that differ only by inner spaces, or only in non-ASCII characters.
+VALUE_POOL = ("a", "b", "a b", "a  b", "ä", "a\u0308", "Zürich", "東京", "東 京")
+
+
+def shuffled_triples(rng, n_s=9, n_o=60):
+    """Triples in random row order: 1-6 values per object, and every fifth
+    object seen by one source only."""
+    triples = []
+    for o in range(n_o):
+        pick = rng.permutation(len(VALUE_POOL))[: rng.integers(1, 7)]
+        values = [VALUE_POOL[i] for i in pick]
+        n_obs = 1 if o % 5 == 0 else int(rng.integers(1, n_s + 1))
+        for s in rng.permutation(n_s)[:n_obs]:
+            triples.append((o, int(s), values[rng.integers(len(values))]))
+    return [triples[i] for i in rng.permutation(len(triples))]
+
+
 # -- tests -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_from_triples_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    sources, objects = [f"s{i}" for i in range(9)], [f"o{i}" for i in range(60)]
+    triples = shuffled_triples(rng)
+    inst = FusionInstance.from_triples(sources, objects, triples)
+    obs_o, obs_s, obs_v, domains = ref_from_triples(sources, objects, triples)
+    offsets = np.cumsum([0] + [len(d) for d in domains])
+    assert np.array_equal(inst.obs_object, obs_o)
+    assert np.array_equal(inst.obs_source, obs_s)
+    assert np.array_equal(inst.obs_cand, offsets[obs_o] + obs_v)
+    assert inst.cand_values == tuple(v for d in domains for v in d)
+    assert np.array_equal(inst.cand_offsets, offsets)
+    assert inst.domains == domains
+    assert np.array_equal(inst.obs_value_idx, obs_v)
+    assert not inst.obs_value_idx.flags.writeable
+
+    # One repeated (object, source) pair: the loop's message, and the
+    # positions of the first row and its repeat.
+    i = int(rng.integers(len(triples)))
+    j = int(rng.integers(i + 1, len(triples) + 1))
+    o, s, _ = triples[i]
+    faulty = triples[:j] + [(o, s, "z")] + triples[j:]
+    with pytest.raises(InstanceError) as ref_err:
+        ref_from_triples(sources, objects, faulty)
+    with pytest.raises(InstanceError) as err:
+        FusionInstance.from_triples(sources, objects, faulty)
+    assert str(err.value) == str(ref_err.value)
+    assert err.value.positions == (i, j)
+
+
 
 
 @pytest.mark.parametrize("max_values", [1, 2, 3, 4, 5])
