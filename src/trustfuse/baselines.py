@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .instance import FusionInstance, GroundTruth, label_correctness_counts
-from .model import _argmax_candidates, argmax_with_ties
+from .model import WeightVector, _argmax_candidates, argmax_with_ties, map_values
 
 __all__ = ["majority_vote", "counts_fit", "counts_infer"]
 
@@ -13,17 +13,13 @@ __all__ = ["majority_vote", "counts_fit", "counts_infer"]
 def majority_vote(instance: FusionInstance, seed: int = 0) -> dict[str, str]:
     """Most frequent observed value per object; ties broken per seed."""
     rng = np.random.default_rng(seed)
-    return argmax_with_ties(_vote_counts(instance), instance, rng)
+    return argmax_with_ties(instance.cand_votes, instance, rng)
 
 
 def _majority_candidates(instance: FusionInstance, seed: int = 0) -> np.ndarray:
     """`majority_vote` as the flat candidate index picked per object."""
     rng = np.random.default_rng(seed)
-    return _argmax_candidates(_vote_counts(instance), instance, rng)
-
-
-def _vote_counts(instance: FusionInstance) -> np.ndarray:
-    return np.bincount(instance.obs_cand, minlength=instance.n_candidates)
+    return _argmax_candidates(instance.cand_votes, instance, rng)
 
 
 def counts_fit(
@@ -51,24 +47,10 @@ def counts_infer(
     accuracies: dict[str, float],
     seed: int = 0,
 ) -> dict[str, str]:
-    """Naive Bayes inference: error mass split uniformly over wrong values."""
+    """Naive Bayes inference: `map_values` at trust scores log(A/(1 - A)),
+    error mass split uniformly over wrong values."""
     acc = np.array([accuracies[s] for s in instance.sources], dtype=float)
     if np.any(acc <= 0.0) or np.any(acc >= 1.0):
         raise ValueError("accuracies must lie strictly in (0, 1)")
-    log_a = np.log(acc)
-    dom_sizes = instance.cand_counts
-    # Per observation: log((1 - A_s) / max(|D_o| - 1, 1)).
-    wrong_div = np.maximum(dom_sizes[instance.obs_object] - 1, 1)
-    log_wrong = np.log(1.0 - acc[instance.obs_source]) - np.log(wrong_div)
-    base = np.bincount(
-        instance.obs_object, weights=log_wrong, minlength=instance.n_objects
-    )
-    # Each candidate starts from its object's base, then adds its reporters'
-    # terms in observation order: one bincount over both, in that order.
-    slots = np.concatenate([np.arange(instance.n_candidates), instance.obs_cand])
-    terms = np.concatenate(
-        [base[instance.cand_object], log_a[instance.obs_source] - log_wrong]
-    )
-    scores = np.bincount(slots, weights=terms, minlength=instance.n_candidates)
-    rng = np.random.default_rng(seed)
-    return argmax_with_ties(scores, instance, rng)
+    weights = WeightVector(np.log(acc / (1.0 - acc)), np.zeros(instance.n_features))
+    return map_values(instance, weights, seed)

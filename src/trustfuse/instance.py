@@ -169,6 +169,18 @@ class FusionInstance:
         return np.repeat(np.arange(self.n_objects), self.cand_counts)
 
     @cached_property
+    def cand_votes(self) -> np.ndarray:
+        """Number of sources reporting each candidate."""
+        return np.bincount(self.obs_cand, minlength=self.n_candidates)
+
+    @cached_property
+    def cand_vote_term(self) -> np.ndarray:
+        """``log(max(|D_o| - 1, 1))`` per vote on each candidate: the score a
+        vote adds when wrong votes spread uniformly (0 on binary domains)."""
+        log_wrong = np.log(np.maximum(self.cand_counts - 1, 1))
+        return log_wrong[self.cand_object] * self.cand_votes
+
+    @cached_property
     def domains(self) -> tuple[tuple[str, ...], ...]:
         """Candidate values per object, in first-appearance order."""
         bounds = self.cand_offsets.tolist()

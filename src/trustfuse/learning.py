@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .baselines import _majority_candidates, _vote_counts
+from .baselines import _majority_candidates
 from .instance import FusionInstance, GroundTruth, label_correctness_counts
 from .model import (
     Diagnostics,
@@ -649,19 +649,20 @@ def fit_em(
     """One-coin EM (Dawid & Skene 1979) with labelled objects clamped.
 
     Source s reports an object's true value with probability A_s and
-    otherwise one of its other ``|D_o| - 1`` values uniformly. The E-step is
-    the exact posterior over each object's candidates: the model's scores
-    plus ``log(max(|D_o| - 1, 1))`` per vote. The M-step fits the per-source
-    binomial loss of `fit_erm_observation` to the expected correct counts by
-    proximal Newton, warm-started across outer iterations, at most
-    ``max_inner_iters`` steps each. The first E-step is majority vote with
-    seeded ties.
+    otherwise one of its other ``|D_o| - 1`` values uniformly: the model
+    that `candidate_scores` scores. The E-step is the exact posterior over
+    each object's candidates, as `posterior_all` computes it. The M-step
+    fits the per-source binomial loss of `fit_erm_observation` to the
+    expected correct counts by proximal Newton, warm-started across outer
+    iterations, at most ``max_inner_iters`` steps each. The first E-step is
+    majority vote with seeded ties.
 
     ``history`` holds the penalized marginal log-likelihood after each
     M-step, which does not decrease. EM stops, with ``converged`` set, when
     it changes by at most ``objective_tol`` relative to its last value, or
     after one M-step when every object is labelled. The returned table is
-    the last E-step's posterior, with labelled objects clamped. Each outer
+    the last E-step's posterior, with labelled objects clamped; its other
+    rows equal `posterior_all` at the returned weights. Each outer
     iteration logs one DEBUG line to the ``trustfuse`` logger: the
     log-likelihood, its relative change, and the M-step's Newton steps and
     KKT ``converged`` flag.
@@ -679,11 +680,6 @@ def fit_em(
     layout = _Layout(instance)
     l1 = layout.l1_weights(config.l1_feature_penalty)
     total = instance.source_obs_counts
-    # A wrong vote lands on one of the object's other values, so each vote
-    # scores log(|D_o| - 1) more than under the SLiMFast softmax (0 on
-    # binary domains).
-    log_wrong = np.log(np.maximum(instance.cand_counts - 1, 1))
-    vote_bias = log_wrong[instance.cand_object] * _vote_counts(instance)
     x = np.zeros(layout.size)
     history: list[float] = []
     converged = False
@@ -704,7 +700,7 @@ def fit_em(
             config.objective_tol,
         )
         sigma = layout.trust_scores(x, instance.features)
-        scores = _candidate_scores(instance, sigma, np.empty(0)) + vote_bias
+        scores = _candidate_scores(instance, sigma, np.empty(0))
         ex, best, norm = _exp_by_object(scores, instance)
         q = np.where(clamped_cand, label_targets, ex / norm[instance.cand_object])
         log_lik = (

@@ -1,9 +1,11 @@
 """Logistic source-accuracy model and exact per-object posteriors.
 
 A source's accuracy is ``logistic(w_s + w_k . f_s)``; its trust score is the
-log-odds of that accuracy. Object posteriors are softmaxes of summed trust
-scores over the object's candidate values, computed in closed form with
-max-subtraction for stability.
+log-odds of that accuracy. A source reports the true value with probability
+A_s and otherwise one of the other ``|D_o| - 1`` values uniformly (one-coin
+Dawid & Skene), so each vote scores its trust score plus ``log(|D_o| - 1)``.
+Object posteriors are softmaxes of summed vote scores over the object's
+candidate values, computed in closed form with max-subtraction for stability.
 """
 
 from __future__ import annotations
@@ -136,8 +138,9 @@ def candidate_scores(instance: FusionInstance, w: WeightVector) -> np.ndarray:
     """Unnormalized log-score of every candidate value, flat layout.
 
     Each candidate d of object o scores the sum of trust scores of sources
-    reporting d, plus, for every registered copying pair agreeing on a value
-    u for o, the pair weight added to every candidate except u.
+    reporting d, plus their `FusionInstance.cand_vote_term`, plus, for every
+    registered copying pair agreeing on a value u for o, the pair weight
+    added to every candidate except u.
     """
     pair_weights = np.array(
         [w.pair_weights.get(p, 0.0) for p in instance.pairs], dtype=float
@@ -152,13 +155,14 @@ def _candidate_scores(
     """`candidate_scores` from per-source trust scores and pair weights.
 
     bincount adds each candidate's trust scores in observation order, the
-    same additions as a scatter-add.
+    same additions as a scatter-add; the vote term is added to each sum.
     """
     scores = np.bincount(
         instance.obs_cand,
         weights=sigma[instance.obs_source],
         minlength=instance.n_candidates,
     )
+    scores += instance.cand_vote_term
     if instance.pairs:
         ev_obj, ev_cand, ev_pair = instance.pair_events
         if ev_obj.size:

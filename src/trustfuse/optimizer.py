@@ -53,13 +53,20 @@ def agreement_matrix(instance: FusionInstance) -> np.ndarray:
 
 
 def estimate_avg_accuracy(instance: FusionInstance) -> float:
-    """Average source accuracy from the agreement matrix, in [0.5, 1]."""
+    """Average source accuracy A from the agreement matrix, solving
+    2 (A^2 + c (1 - A)^2) - 1 = mean agreement-minus-disagreement, with c the
+    mean of 1 / max(|D_o| - 1, 1) over pairs of votes on one object: two
+    wrong votes agree with probability c. In [c / (1 + c), 1]."""
     n = instance.n_sources
     if n < 2:
         raise ValueError("need at least two sources to estimate agreement")
     x = agreement_matrix(instance)
-    mu_hat = np.sqrt(max(0.0, float(x.sum())) / (n * n - n))
-    return float(np.clip((mu_hat + 1.0) / 2.0, 0.5, 1.0))
+    mu = float(x.sum()) / (n * n - n)
+    first, _ = instance.obs_pairs
+    wrong = np.maximum(instance.cand_counts[instance.obs_object[first]] - 1, 1)
+    c = float(np.mean(1.0 / wrong)) if first.size else 1.0
+    r = ((1.0 + c) * mu + (1.0 - c)) / 2.0
+    return float(min((c + np.sqrt(max(0.0, r))) / (1.0 + c), 1.0))
 
 
 def _entropy_bits(p):

@@ -12,7 +12,6 @@ from .learning import LearnConfig, fit_em, fit_erm_object
 from .model import (
     Diagnostics,
     WeightVector,
-    argmax_with_ties,
     map_values,
     source_accuracies,
     trust_score,
@@ -57,9 +56,8 @@ def fuse(
         weights, diagnostics = fit_erm_object(instance, truth, config)
         values = map_values(instance, weights, config.seed)
     elif algo == "em":
-        weights, table, diagnostics = fit_em(instance, truth, config)
-        rng = np.random.default_rng(config.seed)
-        values = argmax_with_ties(table.probs, instance, rng)
+        weights, _, diagnostics = fit_em(instance, truth, config)
+        values = map_values(instance, weights, config.seed)
     elif algo == "counts":
         counted = counts_fit(instance, truth)
         intercepts = [trust_score(counted[s]) for s in instance.sources]

@@ -44,9 +44,11 @@ def brute_force_posterior(instance: FusionInstance, w: WeightVector, o: int):
     """Direct enumeration of the softmax over candidate values.
 
     Independent of the library path: per-candidate scores are accumulated
-    with plain Python loops and normalized without max subtraction.
+    with plain Python loops and normalized without max subtraction. Each
+    vote adds its source's trust score plus log(max(|D_o| - 1, 1)).
     """
     dom = instance.domains[o]
+    log_wrong = math.log(max(len(dom) - 1, 1))
     scores = {d: 0.0 for d in dom}
     for i in range(instance.n_observations):
         if int(instance.obs_object[i]) != o:
@@ -56,7 +58,7 @@ def brute_force_posterior(instance: FusionInstance, w: WeightVector, o: int):
         for k in range(instance.n_features):
             sigma += float(w.feature_weights[k]) * float(instance.features[s, k])
         value = dom[int(instance.obs_value_idx[i])]
-        scores[value] += sigma
+        scores[value] += sigma + log_wrong
     for (s1, s2) in instance.pairs:
         v1 = v2 = None
         for i in range(instance.n_observations):

@@ -75,6 +75,10 @@ def ref_candidate_scores(instance, w):
     sigma = w.trust_scores(instance.features)
     scores = np.zeros(instance.n_candidates)
     np.add.at(scores, instance.obs_cand, sigma[instance.obs_source])
+    votes = np.zeros(instance.n_candidates)
+    np.add.at(votes, instance.obs_cand, 1.0)
+    log_wrong = np.log(np.maximum(instance.cand_counts - 1, 1))
+    scores += log_wrong[instance.cand_object] * votes
     if instance.pairs:
         ev_obj, ev_cand, ev_pair = instance.pair_events
         if ev_obj.size:

@@ -20,6 +20,7 @@ from trustfuse import (
     fit_weights,
     majority_vote,
     map_values,
+    posterior_all,
     source_accuracies,
     weighted_accuracy_error,
 )
@@ -629,6 +630,9 @@ class TestFitEm:
         em_values = argmax_with_ties(table.probs, inst, rng)
         assert n_correct(em_values) >= n_correct(majority_vote(inst, seed=domain))
         assert diag.converged
+        # EM's posterior is the model's posterior at EM's weights.
+        assert np.array_equal(posterior_all(inst, w).probs, table.probs)
+        assert map_values(inst, w, seed=domain) == em_values
 
     def test_copying_pairs_rejected(self):
         sim = generate(SimConfig(n_sources=10, n_objects=40, density=0.4, seed=2))

@@ -58,6 +58,20 @@ class TestEstimateAvgAccuracy:
             est = estimate_avg_accuracy(sim.instance)
             assert est == pytest.approx(a, abs=0.05)
 
+    @pytest.mark.parametrize("domain", [3, 5])
+    def test_recovers_average_accuracy_on_multi_valued_domains(self, domain):
+        # Acceptance test 6's grid with wider domains, where two wrong votes
+        # rarely agree.
+        worst = 0.0
+        for a in (0.6, 0.7, 0.8, 0.9):
+            for seed in range(5):
+                sim = generate(
+                    SimConfig(n_sources=100, n_objects=1000, density=0.1,
+                              domain_size=domain, accuracy_mean=a, seed=seed)
+                )
+                worst = max(worst, abs(estimate_avg_accuracy(sim.instance) - a))
+        assert worst <= 0.09
+
     def test_invariant_to_value_relabeling_and_source_permutation(self, rng):
         sim = generate(SimConfig(n_sources=20, n_objects=100, density=0.2, seed=4))
         inst = sim.instance
