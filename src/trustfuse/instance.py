@@ -70,6 +70,9 @@ class FusionInstance:
     ) -> "FusionInstance":
         """Build an instance from (object index, source index, value) triples.
 
+        ``triples`` is read once, so a generator or ``zip`` object serves as
+        well as a list, and no triple is kept after it is read.
+
         Rejects out-of-range indices, then duplicate (object, source) pairs
         (the error's ``positions`` are the first triple and its repeat),
         then objects with zero observations, then non-finite feature values.
@@ -79,7 +82,13 @@ class FusionInstance:
         sources = tuple(sources)
         objects = tuple(objects)
         n_s, n_o = len(sources), len(objects)
-        obs_o, obs_s, values = tuple(zip(*triples)) or ((), (), ())
+        obs_o: list[int] = []
+        obs_s: list[int] = []
+        values: list[str] = []
+        for o, s, value in triples:
+            obs_o.append(o)
+            obs_s.append(s)
+            values.append(value)
         obs_o = np.asarray(obs_o, dtype=np.int64)
         obs_s = np.asarray(obs_s, dtype=np.int64)
         for name, idx, n in (("object", obs_o, n_o), ("source", obs_s, n_s)):
@@ -363,10 +372,12 @@ class GroundTruth:
 
     def restricted_to_domains(self, instance: FusionInstance) -> "GroundTruth":
         """Drop labels whose value no source reported (closed-world rule)."""
+        bounds = instance.cand_offsets.tolist()
+        values = instance.cand_values
         kept = {
             o: v
             for o, v in self.labels.items()
-            if 0 <= o < instance.n_objects and v in instance.domains[o]
+            if 0 <= o < instance.n_objects and v in values[bounds[o] : bounds[o + 1]]
         }
         return GroundTruth(kept)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,24 +22,59 @@ __all__ = [
 ]
 
 
-def _read_rows(path: Path, expected_min_cols: int) -> tuple[list[str], list[tuple[int, list[str]]]]:
+@dataclass(frozen=True)
+class _Rows:
+    """The non-empty data rows of a CSV file, stored by column.
+
+    ``columns[j]`` holds cell j of every row with surrounding whitespace
+    trimmed, one column per header cell (at least ``min_cols``); a row
+    narrower than the header reads "" in the missing cells. ``lines`` holds
+    each row's line number, counting CSV records with the header as line 1,
+    and ``widths`` its number of cells. ``len`` is the number of rows.
+    """
+
+    columns: tuple[list[str], ...]
+    lines: list[int]
+    widths: list[int]
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+
+def _read_rows(path: Path, min_cols: int) -> tuple[list[str], _Rows]:
+    """Read a CSV file into its trimmed header and its rows by column.
+
+    A row with fewer than ``min_cols`` cells raises InstanceError naming the
+    file and line. No per-row container outlives its loop iteration, so a
+    large file leaves nothing for the cyclic garbage collector to walk.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise InstanceError(f"{path}: file is empty") from None
-        rows = []
+        n_cols = max(min_cols, len(header))
+        cells: list[str] = []
+        lines: list[int] = []
+        widths: list[int] = []
         for lineno, row in enumerate(reader, start=2):
-            if not row:
+            width = len(row)
+            if not width:
                 continue
-            if len(row) < expected_min_cols:
+            if width < min_cols:
                 raise InstanceError(
                     f"{path}, line {lineno}: expected at least "
-                    f"{expected_min_cols} columns, got {len(row)}"
+                    f"{min_cols} columns, got {width}"
                 )
-            rows.append((lineno, row))
-    return [h.strip() for h in header], rows
+            lines.append(lineno)
+            widths.append(width)
+            # Each row adds exactly n_cols cells, so column j is cells[j::n_cols].
+            if width != n_cols:
+                row = row[:n_cols] if width > n_cols else row + [""] * (n_cols - width)
+            cells += row
+    columns = tuple(list(map(str.strip, cells[j::n_cols])) for j in range(n_cols))
+    return header, _Rows(columns, lines, widths)
 
 
 def read_features(path: str | Path) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
@@ -59,21 +95,20 @@ def read_features(path: str | Path) -> tuple[tuple[str, ...], dict[str, np.ndarr
         )
     table: dict[str, np.ndarray] = {}
     line_of: dict[str, int] = {}
-    for lineno, row in rows:
-        src = row[0].strip()
+    for lineno, width, src, *cells in zip(rows.lines, rows.widths, *rows.columns):
         if src in line_of:
             raise InstanceError(
                 f"{path}, line {lineno}: duplicate features for source "
                 f"{src!r} (first at line {line_of[src]})"
             )
         line_of[src] = lineno
-        if len(row) != len(header):
+        if width != len(header):
             raise InstanceError(
                 f"{path}, line {lineno}: expected "
-                f"{len(header)} columns, got {len(row)}"
+                f"{len(header)} columns, got {width}"
             )
         values = []
-        for name, cell in zip(names, row[1:]):
+        for name, cell in zip(names, cells):
             try:
                 value = float(cell)
             except ValueError:
@@ -82,11 +117,17 @@ def read_features(path: str | Path) -> tuple[tuple[str, ...], dict[str, np.ndarr
                 kind = "non-numeric" if value is None else "non-finite"
                 raise InstanceError(
                     f"{path}, line {lineno}: {kind} feature value "
-                    f"{cell.strip()!r} for {name!r}"
+                    f"{cell!r} for {name!r}"
                 )
             values.append(value)
         table[src] = np.array(values)
     return names, table
+
+
+def _first_appearance_index(column: list[str]) -> dict[str, int]:
+    """Number the distinct cells of a column in order of first appearance."""
+    index = dict.fromkeys(column)
+    return dict(zip(index, range(len(index))))
 
 
 def load_instance(
@@ -106,17 +147,9 @@ def load_instance(
         raise InstanceError(
             f"{obs_path}: header must be object_id,source_id,value"
         )
-    # Ids are numbered in order of first appearance.
-    object_idx: dict[str, int] = {}
-    source_idx: dict[str, int] = {}
-    triples = [
-        (
-            object_idx.setdefault(row[0].strip(), len(object_idx)),
-            source_idx.setdefault(row[1].strip(), len(source_idx)),
-            row[2].strip(),
-        )
-        for _, row in rows
-    ]
+    object_col, source_col, values = rows.columns[:3]
+    object_idx = _first_appearance_index(object_col)
+    source_idx = _first_appearance_index(source_col)
 
     features = None
     feature_names: tuple[str, ...] = ()
@@ -129,12 +162,20 @@ def load_instance(
 
     try:
         instance = FusionInstance.from_triples(
-            tuple(source_idx), tuple(object_idx), triples, features, feature_names
+            tuple(source_idx),
+            tuple(object_idx),
+            zip(
+                map(object_idx.__getitem__, object_col),
+                map(source_idx.__getitem__, source_col),
+                values,
+            ),
+            features,
+            feature_names,
         )
     except InstanceError as exc:
         if not exc.positions:
             raise
-        first, repeat = (rows[i][0] for i in exc.positions)
+        first, repeat = (rows.lines[i] for i in exc.positions)
         raise InstanceError(
             f"{obs_path}, line {repeat}: {exc} (first at line {first})"
         ) from None
@@ -146,14 +187,14 @@ def load_instance(
         if theader[:2] != ["object_id", "value"]:
             raise InstanceError(f"{t_path}: header must be object_id,value")
         labels: dict[int, str] = {}
-        for lineno, row in trows:
-            obj, value = row[0].strip(), row[1].strip()
+        bounds = instance.cand_offsets.tolist()
+        for lineno, obj, value in zip(trows.lines, *trows.columns[:2]):
             if obj not in object_idx:
                 raise InstanceError(
                     f"{t_path}, line {lineno}: object {obj!r} has no observations"
                 )
             o = object_idx[obj]
-            if value not in instance.domains[o]:
+            if value not in instance.cand_values[bounds[o] : bounds[o + 1]]:
                 raise InstanceError(
                     f"{t_path}, line {lineno}: value {value!r} for object "
                     f"{obj!r} was not reported by any source"
@@ -178,8 +219,13 @@ def write_instance(result: SimResult, out_dir: str | Path) -> dict[str, Path]:
     with open(obs_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["object_id", "source_id", "value"])
-        for o, s, value in inst.triples():
-            writer.writerow([inst.objects[o], inst.sources[s], value])
+        writer.writerows(
+            zip(
+                map(inst.objects.__getitem__, inst.obs_object.tolist()),
+                map(inst.sources.__getitem__, inst.obs_source.tolist()),
+                map(inst.cand_values.__getitem__, inst.obs_cand.tolist()),
+            )
+        )
     paths["observations"] = obs_path
 
     if inst.n_features:

@@ -10,6 +10,7 @@ from trustfuse import (
     WeightVector,
     cli,
     correctness_counts,
+    io,
     load_instance,
     pipeline,
     write_instance,
@@ -153,6 +154,102 @@ class TestLoadInstance:
         )
         assert inst == sim.instance
         assert truth.labels == sim.truth.restricted_to_domains(sim.instance).labels
+
+
+def load_files(tmp_path, obs, truth=None, features=None):
+    """Write the given CSV texts and load them."""
+    paths = {"observations.csv": obs, "truth.csv": truth, "features.csv": features}
+    for name, text in paths.items():
+        if text is not None:
+            (tmp_path / name).write_text(text)
+    optional = [tmp_path / n if paths[n] is not None else None
+                for n in ("features.csv", "truth.csv")]
+    return load_instance(tmp_path / "observations.csv", *optional)
+
+
+def load_error(tmp_path, obs, truth=None, features=None):
+    """The InstanceError message of a failing load, with the directory cut."""
+    with pytest.raises(InstanceError) as err:
+        load_files(tmp_path, obs, truth, features)
+    return str(err.value).replace(f"{tmp_path}/", "")
+
+
+class TestLoaderRules:
+    """Line numbers count CSV records (blank records included, a quoted
+    newline not), starting at 2 for the first data row."""
+
+    HEADER = "object_id,source_id,value\n"
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        inst, _ = load_files(tmp_path, self.HEADER + "\no0,s0,a\n\n\no0,s1,b\n")
+        assert inst.n_observations == 2 and inst.domains == (("a", "b"),)
+        msg = load_error(tmp_path, self.HEADER + "o0,s0,a\n\n\no1,s1\n")
+        assert msg == "observations.csv, line 5: expected at least 3 columns, got 2"
+
+    def test_quoted_newline_is_one_record(self, tmp_path):
+        msg = load_error(tmp_path, self.HEADER + 'o0,s0,"a\nb"\no1,s0\n')
+        assert msg == "observations.csv, line 3: expected at least 3 columns, got 2"
+
+    def test_short_truth_row(self, tmp_path):
+        msg = load_error(tmp_path, self.HEADER + "o0,s0,a\n",
+                         truth="object_id,value\no0,a\no0\n")
+        assert msg == "truth.csv, line 3: expected at least 2 columns, got 1"
+
+    def test_extra_columns_ignored(self, tmp_path):
+        inst, truth = load_files(
+            tmp_path,
+            "object_id,source_id,value,note\no0,s0,a,x\no0,s1,b\no1,s1,c,y,z\n",
+            truth="object_id,value,confidence\no0,b,0.9\no1,c\n",
+        )
+        assert inst.sources == ("s0", "s1") and inst.objects == ("o0", "o1")
+        assert inst.domains == (("a", "b"), ("c",))
+        assert truth.labels == {0: "b", 1: "c"}
+
+    def test_truth_whitespace_trimmed(self, tmp_path):
+        _, truth = load_files(tmp_path, self.HEADER + "o0,s0,a\no1,s0,b c\n",
+                              truth=" object_id , value \n o1 , b c \n o0 ,a\n")
+        assert truth.labels == {1: "b c", 0: "a"}
+
+    def test_truth_object_without_observations(self, tmp_path):
+        msg = load_error(tmp_path, self.HEADER + "o0,s0,a\n",
+                         truth="object_id,value\no0,a\n\nghost,a\n")
+        assert msg == "truth.csv, line 4: object 'ghost' has no observations"
+
+    def test_truth_unreported_value(self, tmp_path):
+        msg = load_error(tmp_path, self.HEADER + "o0,s0,a\no1,s0,b\n",
+                         truth="object_id,value\no0,a\no1,a\n")
+        assert msg == ("truth.csv, line 3: value 'a' for object 'o1' "
+                       "was not reported by any source")
+
+    def test_duplicate_label(self, tmp_path):
+        msg = load_error(tmp_path, self.HEADER + "o0,s0,a\no0,s1,b\n",
+                         truth="object_id,value\no0,a\n\no0,b\n")
+        assert msg == "truth.csv, line 4: duplicate label for object 'o0'"
+
+    def test_empty_observations_file(self, tmp_path):
+        assert load_error(tmp_path, "") == "observations.csv: file is empty"
+        inst, truth = load_files(tmp_path, self.HEADER + "\n")
+        assert inst.n_objects == inst.n_sources == inst.n_observations == 0
+        assert truth is None
+
+    def test_duplicate_observation_after_blank_line(self, tmp_path):
+        msg = load_error(tmp_path, self.HEADER + "o0,s0,a\n\no1,s0,b\no0,s0,c\n")
+        assert msg == ("observations.csv, line 5: duplicate observation for "
+                       "object 'o0' and source 's0' (first at line 2)")
+
+    @pytest.mark.parametrize("row, width", [("s1,1", 2), ("s1,1,2,3", 4)])
+    def test_features_row_of_wrong_width(self, tmp_path, row, width):
+        msg = load_error(tmp_path, self.HEADER + "o0,s0,a\no0,s1,b\n",
+                         features=f"source_id,f0,f1\ns0,1,2\n\n{row}\n")
+        assert msg == f"features.csv, line 4: expected 3 columns, got {width}"
+
+    def test_read_rows_counts_non_empty_data_rows(self, tmp_path):
+        # perfbench's tracer counts `io.rows_read` as len(rows) of this call.
+        path = tmp_path / "observations.csv"
+        path.write_text(self.HEADER + "\no0,s0,a\n\no0,s1,b,extra\no1,s0,c\n\n")
+        header, rows = io._read_rows(path, 3)
+        assert header == ["object_id", "source_id", "value"]
+        assert len(rows) == 3
 
 
 class TestFuseCommand:

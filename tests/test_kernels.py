@@ -317,6 +317,46 @@ def test_from_triples_matches_loop(seed):
     assert err.value.positions == (i, j)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_from_triples_reads_one_shot_iterables(seed):
+    rng = np.random.default_rng(seed)
+    sources, objects = [f"s{i}" for i in range(9)], [f"o{i}" for i in range(60)]
+    triples = shuffled_triples(rng)
+    expected = FusionInstance.from_triples(sources, objects, triples)
+    obs_o, obs_s, obs_v, domains = ref_from_triples(sources, objects, iter(triples))
+    assert np.array_equal(expected.obs_object, obs_o)
+    assert np.array_equal(expected.obs_source, obs_s)
+    assert np.array_equal(expected.obs_value_idx, obs_v)
+    assert expected.domains == domains
+    obj_col, src_col, value_col = map(list, zip(*triples))
+    one_shots = {
+        "generator": (t for t in triples),
+        "zip": zip(obj_col, src_col, value_col),
+    }
+    for kind, one_shot in one_shots.items():
+        assert FusionInstance.from_triples(sources, objects, one_shot) == expected, kind
+
+    # The repeat's positions count the triples of the one-shot iterator.
+    o, s, _ = triples[3]
+    faulty = triples[:7] + [(o, s, "z")] + triples[7:]
+    with pytest.raises(InstanceError) as err:
+        FusionInstance.from_triples(sources, objects, (t for t in faulty))
+    assert err.value.positions == (3, 7)
+
+
+def test_from_triples_empty_iterable():
+    expected = FusionInstance.from_triples([], [], [])
+    assert expected.n_observations == 0 and expected.domains == ()
+    assert ref_from_triples([], [], [])[3] == ()
+    for empty in (iter(()), (t for t in ()), zip((), (), ())):
+        assert FusionInstance.from_triples([], [], empty) == expected
+    # Objects without triples are still rejected, as the loop rejects them.
+    with pytest.raises(InstanceError, match="'o0' has no observations"):
+        ref_from_triples(["s0"], ["o0"], iter(()))
+    with pytest.raises(InstanceError, match="'o0' has no observations"):
+        FusionInstance.from_triples(["s0"], ["o0"], iter(()))
+
+
 
 
 @pytest.mark.parametrize("max_values", [1, 2, 3, 4, 5])
