@@ -11,10 +11,10 @@ from .instance import FusionInstance, GroundTruth
 from .learning import (
     LearnConfig,
     _binomial_loss,
-    _proximal_newton,
     fit_erm_object,
     object_loss_and_grad,
     one_hot_targets,
+    proximal_fit,
 )
 from .model import WeightVector, _logistic
 
@@ -196,12 +196,12 @@ def estimate_pair_state(
 
     # The K feature weights take the place of the solver's intercepts: no
     # features, no L1 and no ridge.
-    w, _ = _proximal_newton(
-        np.zeros((instance.n_features, 0)),
-        loss,
-        0.0,
-        0.0,
+    w, _ = proximal_fit(
         np.zeros(instance.n_features),
+        loss,
+        np.zeros((instance.n_features, 0)),
+        0.0,
+        0.0,
         config.max_inner_iters,
         config.objective_tol * max(1.0, float(primary_counts.max())),
     )

@@ -1,16 +1,15 @@
 """Parameter estimation: ERM on labels and one-coin EM on partial labels.
 
-Two losses over x = [w_s | w_k], one stopping rule: every fit stops when its
-KKT residual (`_kkt_residual`) is at most ``objective_tol`` times the most
+Two losses over x = [w_s | w_pairs | w_k], one solver and one stopping rule.
+Every fit is proximal Newton (`proximal_fit`): the per-source binomial loss
+(`fit_erm_observation`, EM's M-step and the pair estimator in `analysis`)
+and the object loss (`fit_weights`: object ERM, as `fuse --algo erm` runs
+it, copying-pair weights and the lasso path). Every fit stops when its KKT
+residual (`_kkt_residual`) is at most ``objective_tol`` times the most
 observations one source has in the fit, and ``converged`` means that check
-passed. Proximal Newton (`_proximal_newton`) fits the per-source binomial
-loss (`fit_erm_observation`, EM's M-step and the pair estimator in
-`analysis`) and the object loss (`fit_weights`: object ERM, as `fuse --algo
-erm` runs it, and the lasso path). Only object fits with copying-pair
-weights, whose count grows as S^2, keep the monotone accelerated
-proximal-gradient solver (`proximal_fit`). All fits apply L1 to feature
-weights only and a ridge to intercepts (and pair weights). Fits are
-full-batch and deterministic for a fixed data order and seed.
+passed. All fits apply L1 to feature weights only and a ridge to intercepts
+and pair weights. Fits are full-batch and deterministic for a fixed data
+order and seed.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,53 +65,52 @@ class LearnConfig:
 
 
 # ---------------------------------------------------------------------------
-# Parameter packing: flat vector [w_s | w_k | w_pairs]
+# Parameter packing: flat vector [w_s | w_pairs | w_k]
 # ---------------------------------------------------------------------------
 
 
 class _Layout:
+    """x = [w_s | w_pairs | w_k]. The pair weights sit with the intercepts
+    in `proximal_fit`'s ``w`` (ridged, without L1), with zero rows in
+    ``features``."""
+
     def __init__(self, instance: FusionInstance):
         self.n_s = instance.n_sources
-        self.n_k = instance.n_features
-        self.n_p = len(instance.pairs)
+        self.n_w = self.n_s + len(instance.pairs)
         self.pairs = instance.pairs
-        self.size = self.n_s + self.n_k + self.n_p
+        self.size = self.n_w + instance.n_features
+        self.features = instance.features
+        if self.pairs:
+            pad = np.zeros((len(self.pairs), instance.n_features))
+            self.features = np.vstack([self.features, pad])
 
     def pack(self, w: WeightVector) -> np.ndarray:
-        x = np.zeros(self.size)
-        x[: self.n_s] = w.source_intercepts
-        x[self.n_s : self.n_s + self.n_k] = w.feature_weights
-        for i, p in enumerate(self.pairs):
-            x[self.n_s + self.n_k + i] = w.pair_weights.get(p, 0.0)
-        return x
+        pair_weights = [w.pair_weights.get(p, 0.0) for p in self.pairs]
+        return np.concatenate([w.source_intercepts, pair_weights, w.feature_weights])
 
     def unpack(self, x: np.ndarray) -> WeightVector:
-        pair_weights = {
-            p: float(x[self.n_s + self.n_k + i]) for i, p in enumerate(self.pairs)
-        }
         return WeightVector(
             source_intercepts=x[: self.n_s].copy(),
-            feature_weights=x[self.n_s : self.n_s + self.n_k].copy(),
-            pair_weights=pair_weights,
+            feature_weights=x[self.n_w :].copy(),
+            pair_weights=dict(zip(self.pairs, x[self.n_s : self.n_w].tolist())),
         )
 
     def trust_scores(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
         """`WeightVector.trust_scores` straight from the flat vector."""
         sigma = x[: self.n_s]
-        if self.n_k:
-            sigma = sigma + features @ x[self.n_s : self.n_s + self.n_k]
+        if features.shape[1]:
+            sigma = sigma + features @ x[self.n_w :]
         return sigma
 
-    def l1_weights(self, lam: float) -> np.ndarray:
-        v = np.zeros(self.size)
-        v[self.n_s : self.n_s + self.n_k] = lam
-        return v
-
-    def ridge_mask(self) -> np.ndarray:
-        # Ridge applies to intercepts and pair weights, not feature weights.
-        m = np.ones(self.size)
-        m[self.n_s : self.n_s + self.n_k] = 0.0
-        return m
+    def smooth_loss_and_grad(
+        self, loss: _SigmaLoss, x: np.ndarray, l2: float
+    ) -> tuple[float, WeightVector]:
+        """``loss(w + F w_k) + l2 |w|^2`` at x, the smooth part of what
+        `proximal_fit` minimises, and its gradient by the chain rule."""
+        w, v = x[: self.n_w], x[self.n_w :]
+        value, g, _ = loss(w + self.features @ v)
+        grad = np.concatenate([g + 2.0 * l2 * w, self.features.T @ g])
+        return value + l2 * float(w @ w), self.unpack(grad)
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +118,20 @@ class _Layout:
 # ---------------------------------------------------------------------------
 
 
-# A loss of the trust scores sigma: (value, gradient in sigma, curvature in
-# sigma), the curvature either a diagonal (1-D) or a full S x S matrix.
-_SigmaLoss = Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]]
+class _CurvatureOperator(NamedTuple):
+    """A curvature given by its products ``matvec(v) = H v`` and its
+    diagonal."""
+
+    matvec: Callable[[np.ndarray], np.ndarray]
+    diagonal: np.ndarray
+
+
+# A loss of the trust scores sigma, extended by the pair weights when the
+# instance has copying pairs: (value, gradient, curvature), the curvature a
+# diagonal (1-D), a full matrix or a `_CurvatureOperator`.
+_SigmaLoss = Callable[
+    [np.ndarray], tuple[float, np.ndarray, np.ndarray | _CurvatureOperator]
+]
 
 
 def one_hot_targets(instance: FusionInstance, labels: GroundTruth) -> np.ndarray:
@@ -135,42 +144,6 @@ def _one_hot(instance: FusionInstance, cands: np.ndarray) -> np.ndarray:
     t = np.zeros(instance.n_candidates)
     t[cands] = 1.0
     return t
-
-
-def _object_smooth_loss(
-    instance: FusionInstance,
-    targets: np.ndarray,
-    obj_weight: np.ndarray,
-    l2: float,
-    layout: _Layout,
-) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """Weighted softmax cross-entropy over candidate scores plus ridge."""
-    ridge = layout.ridge_mask()
-    incl_cand = obj_weight[instance.cand_object]
-
-    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        sigma = layout.trust_scores(x, instance.features)
-        scores = _candidate_scores(instance, sigma, x[layout.n_s + layout.n_k :])
-        loss, _, residual, g_sigma = _cross_entropy(
-            instance, targets, incl_cand, scores
-        )
-        grad = np.zeros_like(x)
-        grad[: layout.n_s] = g_sigma
-        if layout.n_k:
-            grad[layout.n_s : layout.n_s + layout.n_k] = instance.features.T @ g_sigma
-        if layout.n_p:
-            ev_obj, ev_cand, ev_pair = instance.pair_events
-            gp = np.zeros(layout.n_p)
-            if ev_obj.size:
-                # Residuals sum to 0 per object, so the "all candidates but
-                # the agreed one" contribution collapses to -residual[agreed].
-                np.add.at(gp, ev_pair, -residual[ev_cand])
-            grad[layout.n_s + layout.n_k :] = gp
-        loss += l2 * float(np.sum((ridge * x) ** 2))
-        grad += 2.0 * l2 * ridge * x
-        return loss, grad
-
-    return fg
 
 
 def _cross_entropy(
@@ -195,8 +168,8 @@ def _cross_entropy(
 def _object_sigma_loss(
     instance: FusionInstance, targets: np.ndarray, obj_weight: np.ndarray
 ) -> _SigmaLoss:
-    """The object loss of an instance without copying pairs as a function of
-    the trust scores, for `_proximal_newton`.
+    """The object loss as a function of the trust scores, for
+    `proximal_fit`; with copying pairs, `_object_pair_loss`.
 
     Its curvature in sigma is the S x S matrix sum_o m_o (diag(p_o) -
     p_o p_o') pulled back through the vote incidence, with m_o the object's
@@ -204,6 +177,8 @@ def _object_sigma_loss(
     object, i = j included, adds m_o p[c_i]([c_i = c_j] - p[c_j]) at
     (s_i, s_j).
     """
+    if instance.pairs:
+        return _object_pair_loss(instance, targets, obj_weight)
     n_s = instance.n_sources
     first, second = instance.obs_pairs
     keep = obj_weight[instance.obs_object[first]] > 0
@@ -230,13 +205,68 @@ def _object_sigma_loss(
     return loss
 
 
+def _object_pair_loss(
+    instance: FusionInstance, targets: np.ndarray, obj_weight: np.ndarray
+) -> _SigmaLoss:
+    """The object loss of an instance with copying pairs as a function of
+    u = [sigma | w_pairs], for `proximal_fit`.
+
+    A pair weight scores -w_p on the agreed candidate of each of its
+    `pair_events`; the +w_p it adds to every candidate of the object cancels
+    in the softmax. So the labelled objects' scores are A u up to a
+    per-object shift, with A the incidence of votes (+1) and pair firings
+    (-1) on candidates, and the curvature in u is A'MA, with M the block
+    diagonal of m_o (diag(p_o) - p_o p_o'). Up to S(S-1)/2 pairs make it
+    too large to form, so it is an operator: each product scatters into the
+    labelled candidates, reduces once per object and scatters back.
+    """
+    n_s = instance.n_sources
+    n_u = n_s + len(instance.pairs)
+    incl_cand = obj_weight[instance.cand_object]
+    ev_obj, ev_cand, ev_pair = instance.pair_events
+    obs = obj_weight[instance.obs_object] > 0
+    ev = obj_weight[ev_obj] > 0
+    # A's entries on labelled objects, with candidates numbered among the
+    # labelled ones.
+    col = np.concatenate([instance.obs_source[obs], n_s + ev_pair[ev]])
+    sign = np.repeat([1.0, -1.0], [np.count_nonzero(obs), np.count_nonzero(ev)])
+    labelled = np.flatnonzero(incl_cand > 0)
+    local = np.cumsum(incl_cand > 0) - 1
+    cand = local[np.concatenate([instance.obs_cand[obs], ev_cand[ev]])]
+    cand_obj = np.unique(instance.cand_object[labelled], return_inverse=True)[1]
+    mass = incl_cand[labelled]
+
+    def loss(u: np.ndarray) -> tuple[float, np.ndarray, _CurvatureOperator]:
+        scores = _candidate_scores(instance, u[:n_s], u[n_s:])
+        value, probs, residual, g_sigma = _cross_entropy(
+            instance, targets, incl_cand, scores
+        )
+        g_pairs = np.bincount(ev_pair, weights=residual[ev_cand], minlength=n_u - n_s)
+        p = probs[labelled]
+
+        def matvec(v: np.ndarray) -> np.ndarray:
+            y = p * np.bincount(cand, weights=sign * v[col], minlength=p.size)
+            y -= p * np.bincount(cand_obj, weights=y)[cand_obj]
+            return np.bincount(col, weights=sign * (mass * y)[cand], minlength=n_u)
+
+        p_e = p[cand]
+        diagonal = np.bincount(
+            col, weights=mass[cand] * p_e * (1.0 - p_e), minlength=n_u
+        )
+        curv = _CurvatureOperator(matvec, diagonal)
+        return value, np.concatenate([g_sigma, -g_pairs]), curv
+
+    return loss
+
+
 def object_loss_and_grad(
     instance: FusionInstance,
     targets: np.ndarray,
     w: WeightVector,
     l2: float = 0.0,
 ) -> tuple[float, WeightVector]:
-    """Smooth part of the object objective and its gradient at ``w``.
+    """Smooth part of the object objective and its gradient at ``w``: the
+    loss `fit_weights` fits plus the ridge.
 
     The L1 feature penalty is not included; it is handled by the proximal
     step and is non-smooth at zero.
@@ -245,9 +275,8 @@ def object_loss_and_grad(
     obj_weight = np.bincount(
         instance.cand_object, weights=targets, minlength=instance.n_objects
     )
-    fg = _object_smooth_loss(instance, targets, obj_weight, l2, layout)
-    loss, grad = fg(layout.pack(w))
-    return loss, layout.unpack(grad)
+    loss = _object_sigma_loss(instance, targets, obj_weight)
+    return layout.smooth_loss_and_grad(loss, layout.pack(w), l2)
 
 
 def _binomial_loss(
@@ -276,22 +305,16 @@ def observation_loss_and_grad(
     observations, plus the ridge."""
     layout = _Layout(instance)
     correct, total = label_correctness_counts(instance, labels.validate(instance))
-    x = layout.pack(w)
-    ridge = layout.ridge_mask()
-    loss, g_eta, _ = _binomial_loss(
-        layout.trust_scores(x, instance.features), correct, total
+    # Pair weights do not enter this loss: their coordinates count nothing.
+    pad = (0, layout.n_w - layout.n_s)
+    correct, total = np.pad(correct, pad), np.pad(total, pad)
+    return layout.smooth_loss_and_grad(
+        lambda eta: _binomial_loss(eta, correct, total), layout.pack(w), l2
     )
-    grad = np.zeros_like(x)
-    grad[: layout.n_s] = g_eta
-    if layout.n_k:
-        grad[layout.n_s : layout.n_s + layout.n_k] = instance.features.T @ g_eta
-    loss += l2 * float(np.sum((ridge * x) ** 2))
-    grad += 2.0 * l2 * ridge * x
-    return loss, layout.unpack(grad)
 
 
 # ---------------------------------------------------------------------------
-# Monotone FISTA with backtracking
+# Proximal Newton on [w | w_k]
 # ---------------------------------------------------------------------------
 
 
@@ -311,97 +334,55 @@ def _kkt_residual(
     )
 
 
+def _jacobi_cg(curv: _CurvatureOperator, ridge: float, b: np.ndarray) -> np.ndarray:
+    """Solve ``(H + ridge) z = b`` by conjugate gradients with a Jacobi
+    preconditioner, to a relative residual of 1e-2 or at most one step per
+    coordinate. Without a ridge H can be singular; a coordinate with no
+    curvature stays at 0."""
+    diagonal = curv.diagonal + ridge
+    inv = np.divide(1.0, diagonal, out=np.zeros_like(diagonal), where=diagonal > 0)
+    z = np.zeros_like(b)
+    r = b.copy()
+    target = 1e-2 * np.linalg.norm(b)
+    y = inv * r
+    p = y.copy()
+    ry = float(r @ y)
+    for _ in range(b.size):
+        if np.linalg.norm(r) <= target:
+            break
+        ap = curv.matvec(p) + ridge * p
+        pap = float(p @ ap)
+        if not pap > 0.0:
+            break
+        alpha = ry / pap
+        z += alpha * p
+        r -= alpha * ap
+        y = inv * r
+        ry, ry_old = float(r @ y), ry
+        p = y + (ry / ry_old) * p
+    return z
+
+
 def proximal_fit(
     x0: np.ndarray,
-    fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    l1: np.ndarray,
-    max_iters: int,
-    bound: float,
-    step_size: float = 1.0,
-) -> tuple[np.ndarray, Diagnostics]:
-    """Minimize fg's smooth objective plus ``l1 . |x|`` by accelerated
-    proximal gradient descent.
-
-    Accepts a step only when the full objective does not increase (monotone
-    FISTA with restart on backtracking), so the returned objective never
-    exceeds the initial one. fg runs once per distinct point: the last
-    accepted point keeps its objective and gradient, and they are reused
-    whenever the point to evaluate is bit for bit that point (the first
-    iteration, a restart, the iteration after a restart).
-
-    ``converged`` means the `_kkt_residual` at the last accepted point, with
-    the coordinates whose ``l1`` is 0 unpenalised, is at most ``bound``. The
-    fit stops there, after ``max_iters`` iterations, or when the line search
-    accepts no step.
-    """
-    pen = l1 > 0
-
-    def full_obj(x: np.ndarray, f: float) -> float:
-        return f + float(l1 @ np.abs(x))
-
-    def evaluate(p: np.ndarray) -> tuple[float, np.ndarray]:
-        return (f_x, g_x) if p.tobytes() == x.tobytes() else fg(p)
-
-    def stationary(x: np.ndarray, g: np.ndarray) -> bool:
-        return bool(_kkt_residual(g[~pen], x[pen], g[pen], l1[pen]) <= bound)
-
-    x = x0.copy()
-    f_x, g_x = fg(x)
-    if not (np.isfinite(f_x) and np.all(np.isfinite(g_x))):
-        raise ValueError("non-finite objective or gradient at the initial point")
-    obj = full_obj(x, f_x)
-    y = x
-    t_k = 1.0
-    step = step_size
-    iters = 0
-    converged = stationary(x, g_x)
-    while not converged and iters < max_iters:
-        iters += 1
-        g_y = evaluate(y)[1]
-        for _ in range(60):
-            cand = _soft_threshold(y - step * g_y, step * l1)
-            f_c, g_c = evaluate(cand)
-            cand_obj = full_obj(cand, f_c)
-            if np.isfinite(cand_obj) and cand_obj <= obj + 1e-12 * (1.0 + abs(obj)):
-                break
-            step *= 0.5
-            if not np.array_equal(y, x):
-                # Momentum overshoot: restart from the last accepted point.
-                y, g_y = x, g_x
-                t_k = 1.0
-        else:
-            break
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-        y = cand + ((t_k - 1.0) / t_next) * (cand - x)
-        x, f_x, g_x, obj, t_k = cand, f_c, g_c, cand_obj, t_next
-        step = min(step * 1.2, step_size)
-        converged = stationary(x, g_x)
-    return x, Diagnostics(iterations=iters, objective=float(obj), converged=converged)
-
-
-# ---------------------------------------------------------------------------
-# Proximal Newton on [w_s | w_k]
-# ---------------------------------------------------------------------------
-
-
-def _proximal_newton(
-    features: np.ndarray,
     loss: _SigmaLoss,
+    features: np.ndarray,
     l1: float,
     l2: float,
-    x0: np.ndarray,
     max_iters: int,
     bound: float,
 ) -> tuple[np.ndarray, Diagnostics]:
-    """Minimize ``loss(w_s + F w_k) + l2 |w_s|^2 + l1 |w_k|_1`` over
-    x = [w_s | w_k] by proximal Newton steps (Lee, Sun & Saunders 2014).
+    """Minimize ``loss(w + F w_k) + l2 |w|^2 + l1 |w_k|_1`` over
+    x = [w | w_k] by proximal Newton steps (Lee, Sun & Saunders 2014). The
+    solver of every fit.
 
-    With H the curvature of ``loss`` in sigma, the Hessian is H + 2 l2 on
-    the intercepts, H F between intercepts and features and F'HF on the
-    features. Each step solves the quadratic model exactly: the intercept
-    step is eliminated, the K feature weights are solved on their Schur
-    complement ``2 l2 F'(H + 2 l2)^-1 H F`` by `_lasso_qp`, and a monotone
-    Armijo search on the full objective damps the step.
+    With H the curvature of ``loss`` in its argument, the Hessian is
+    H + 2 l2 on w, H F between w and the features and F'HF on the features.
+    Each step eliminates the w step and solves for the K feature weights on
+    the Schur complement ``2 l2 F'(H + 2 l2)^-1 H F`` by `_lasso_qp`; a
+    monotone Armijo search on the full objective damps the step. A diagonal
+    or full H is inverted exactly; an H given as a `_CurvatureOperator`
+    (copying pairs) is inverted on ``[g_w | H F]`` by `_jacobi_cg`.
 
     ``converged`` means the `_kkt_residual`
     ``max(|grad_w|_inf, |w_k - soft(w_k - grad_k, l1)|_inf)`` is at most
@@ -430,9 +411,9 @@ def _proximal_newton(
             break
         if steps == max_iters:
             break
-        # Eliminating the intercept step leaves, for the feature weights,
-        # the quadratic  r.dv + dv'(2 l2 F'(H + 2 l2)^-1 H F)dv / 2.
-        if curv.ndim == 1:
+        # Eliminating the w step leaves, for the feature weights, the
+        # quadratic  r.dv + dv'(2 l2 F'(H + 2 l2)^-1 H F)dv / 2.
+        if isinstance(curv, np.ndarray) and curv.ndim == 1:
             denom = curv + 2.0 * l2
             inv = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0)
             schur = features.T @ ((2.0 * l2 * curv * inv)[:, None] * features)
@@ -440,16 +421,22 @@ def _proximal_newton(
             dv = _lasso_qp(schur, r, v, l1) - v
             dw = -(g_w + curv * (features @ dv)) * inv
         else:
-            hf = curv @ features
-            # (H + 2 l2)^-1 [g_w | H F]; without a ridge H can be singular,
-            # and the least-norm solution is taken.
-            rhs = np.column_stack([g_w, hf])
-            a = curv + 2.0 * l2 * np.eye(n_s)
-            z = (
-                np.linalg.solve(a, rhs)
-                if l2 > 0
-                else np.linalg.lstsq(a, rhs, rcond=None)[0]
-            )
+            # z = (H + 2 l2)^-1 [g_w | H F]
+            if isinstance(curv, np.ndarray):
+                hf = curv @ features
+                # Without a ridge H can be singular, and the least-norm
+                # solution is taken.
+                rhs = np.column_stack([g_w, hf])
+                a = curv + 2.0 * l2 * np.eye(n_s)
+                z = (
+                    np.linalg.solve(a, rhs)
+                    if l2 > 0
+                    else np.linalg.lstsq(a, rhs, rcond=None)[0]
+                )
+            else:
+                rhs = np.column_stack([g_w, *(curv.matvec(f) for f in features.T)])
+                hf = rhs[:, 1:]
+                z = np.column_stack([_jacobi_cg(curv, 2.0 * l2, b) for b in rhs.T])
             schur = 2.0 * l2 * (features.T @ z[:, 1:])
             r = g_v - hf.T @ z[:, 0]
             dv = _lasso_qp(schur, r, v, l1) - v
@@ -484,16 +471,16 @@ def _fit_binomial(
     max_iters: int,
     tol: float,
 ) -> tuple[np.ndarray, Diagnostics]:
-    """`_proximal_newton` on the binomial loss of ``correct`` out of
-    ``total`` per source, whose curvature in sigma is diagonal. The KKT
-    bound is ``tol`` times the most observations of one source (at least 1).
+    """`proximal_fit` on the binomial loss of ``correct`` out of ``total``
+    per source, whose curvature in sigma is diagonal. The KKT bound is
+    ``tol`` times the most observations of one source (at least 1).
     """
-    return _proximal_newton(
-        features,
+    return proximal_fit(
+        x0,
         lambda eta: _binomial_loss(eta, correct, total),
+        features,
         l1,
         l2,
-        x0,
         max_iters,
         tol * max(1.0, float(np.max(total, initial=0))),
     )
@@ -539,12 +526,13 @@ def fit_weights(
     ``targets`` is a flat candidate array of per-object label mass (one-hot
     for labels); objects with zero mass do not contribute.
 
-    ``converged`` means the KKT residual (`_kkt_residual`) is at most
+    The fit is `proximal_fit` on `_object_sigma_loss`. Without copying pairs
+    its curvature is a dense S x S matrix. With them the pair weights join
+    the intercepts, and the curvature is a matrix-free operator, whose
+    Newton systems conjugate gradients solves. ``converged`` means the KKT
+    residual (`_kkt_residual`), pair gradients included, is at most
     ``objective_tol`` times the most labelled observations of any source (at
-    least 1), reached within ``max_inner_iters`` steps. Without copying pairs
-    the steps are proximal Newton (`_proximal_newton`). With them they are
-    accelerated proximal gradient (`proximal_fit`): up to S(S-1)/2 pair
-    weights make a dense Newton step too costly.
+    least 1), reached within ``max_inner_iters`` steps.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.shape != (instance.n_candidates,):
@@ -561,28 +549,15 @@ def fit_weights(
     )
     bound = config.objective_tol * max(1.0, float(np.max(labelled_obs)))
     layout = _Layout(instance)
-    x0 = layout.pack(init if init is not None else WeightVector.zeros(instance))
-    if instance.pairs:
-        fg = _object_smooth_loss(
-            instance, targets, obj_weight, config.l2_intercept_penalty, layout
-        )
-        x, diag = proximal_fit(
-            x0,
-            fg,
-            layout.l1_weights(config.l1_feature_penalty),
-            config.max_inner_iters,
-            bound,
-        )
-    else:
-        x, diag = _proximal_newton(
-            instance.features,
-            _object_sigma_loss(instance, targets, obj_weight),
-            config.l1_feature_penalty,
-            config.l2_intercept_penalty,
-            x0,
-            config.max_inner_iters,
-            bound,
-        )
+    x, diag = proximal_fit(
+        layout.pack(init if init is not None else WeightVector.zeros(instance)),
+        _object_sigma_loss(instance, targets, obj_weight),
+        layout.features,
+        config.l1_feature_penalty,
+        config.l2_intercept_penalty,
+        config.max_inner_iters,
+        bound,
+    )
     return layout.unpack(x), diag
 
 
@@ -593,8 +568,7 @@ def fit_erm_object(
     init: WeightVector | None = None,
 ) -> tuple[WeightVector, Diagnostics]:
     """ERM over labeled objects: minimize the penalized posterior log-loss,
-    by `fit_weights` (proximal Newton unless the instance has copying
-    pairs)."""
+    by `fit_weights`."""
     if len(ground_truth) == 0:
         raise ValueError("ERM requires at least one labeled object")
     targets = one_hot_targets(instance, ground_truth)
@@ -678,7 +652,8 @@ def fit_em(
     q = _one_hot(instance, np.where(clamped_obj, label_cand, picks))
 
     layout = _Layout(instance)
-    l1 = layout.l1_weights(config.l1_feature_penalty)
+    n_k = layout.size - layout.n_w
+    l1 = np.repeat([0.0, config.l1_feature_penalty], [layout.n_w, n_k])
     total = instance.source_obs_counts
     x = np.zeros(layout.size)
     history: list[float] = []

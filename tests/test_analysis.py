@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from trustfuse import (
     posterior_all,
     predict_new_source_accuracy,
 )
+from trustfuse.learning import object_loss_and_grad, one_hot_targets
 from trustfuse.simulation import SimConfig, add_clone, generate
 
 
@@ -141,10 +143,10 @@ class TestCopyingFeatures:
         assert p0[0] > p1[0]
         assert p1[1] > p0[1]
 
-    def test_fitted_pair_weight_positive_for_misleading_agreement(self):
-        # s0 and s1 co-observe only objects where they agree on the wrong
-        # value; alone each is fine. Intercepts cannot express that, so the
-        # fit must put positive weight on the pair to discount its agreement.
+    @staticmethod
+    def misleading_pair():
+        """s0 and s1 co-observe only objects where they agree on the wrong
+        value; alone each is fine. Every object is labelled."""
         triples = []
         for o in range(10):  # joint objects: both wrong, agreeing
             triples += [(o, 0, "b"), (o, 1, "b"), (o, 2, "a")]
@@ -155,9 +157,36 @@ class TestCopyingFeatures:
         inst = FusionInstance.from_triples(
             ["s0", "s1", "s2"], [f"o{i}" for i in range(30)], triples
         ).with_pairs([(0, 1)])
-        gt = GroundTruth({o: "a" for o in range(30)})
+        return inst, GroundTruth({o: "a" for o in range(30)})
+
+    def test_fitted_pair_weight_positive_for_misleading_agreement(self):
+        # Intercepts cannot express the pair's collusion, so the fit must
+        # put positive weight on the pair to discount its agreement.
+        inst, gt = self.misleading_pair()
         w, _ = fit_erm_object(inst, gt, LearnConfig(l2_intercept_penalty=0.01))
         assert w.pair_weights[(0, 1)] > 0.5
+
+    @pytest.mark.parametrize("max_iters", [3, 500])
+    def test_pair_fit_without_ridge_reports_its_kkt_check(self, max_iters):
+        # Without a ridge the curvature is singular (only the margin
+        # sigma_2 - sigma_0 - sigma_1 + w_pair is identified) and the loss
+        # has no finite minimiser, so conjugate gradients runs on a singular
+        # system. The fit must still stop, and `converged` must say whether
+        # the KKT residual is within the bound.
+        inst, gt = self.misleading_pair()
+        cfg = LearnConfig(l2_intercept_penalty=0.0, max_inner_iters=max_iters)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, diag = fit_erm_object(inst, gt, cfg)
+        _, g = object_loss_and_grad(inst, one_hot_targets(inst, gt), w)
+        residual = max(np.max(np.abs(g.source_intercepts)),
+                       abs(g.pair_weights[(0, 1)]))
+        # s2 observes all 30 labelled objects.
+        bound = cfg.objective_tol * 30
+        assert diag.iterations <= max_iters
+        assert diag.converged == (residual <= bound)
+        assert diag.converged == (max_iters == 500)
+        assert np.isfinite(diag.objective)
 
     def test_clone_pair_registered_by_overlap(self):
         sim = generate(SimConfig(n_sources=6, n_objects=400, density=0.5,

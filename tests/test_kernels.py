@@ -11,21 +11,13 @@ from scipy import special
 
 from trustfuse import (
     FusionInstance,
-    GroundTruth,
     InstanceError,
-    WeightVector,
     add_copying_features,
     em_units,
     posterior_all,
 )
 from trustfuse.model import argmax_with_ties, candidate_scores
 from trustfuse.optimizer import agreement_matrix
-from trustfuse.learning import (
-    _Layout,
-    _object_smooth_loss,
-    one_hot_targets,
-    proximal_fit,
-)
 from trustfuse.simulation import SimConfig, generate
 from conftest import random_weights
 
@@ -184,7 +176,9 @@ def ref_copying_pairs(instance, min_overlap):
 
 
 def ref_proximal_fit(x0, fg, l1, max_iters, tol, step_size=1.0):
-    """The solver before it reused evaluations; also counts its restarts."""
+    """Monotone FISTA with backtracking on ``fg``'s smooth objective plus
+    ``l1 . |x|``: the independent solver the Newton fits are checked
+    against. Also counts its restarts."""
     restarts = 0
 
     def full_obj(x, f=None):
@@ -444,35 +438,3 @@ def test_copying_pairs_and_events_equal_loops(domain, seed):
     assert events[0].size
     for got, want in zip(events, ref_pair_events(some)):
         assert np.array_equal(got, want)
-
-
-def test_proximal_fit_evaluates_each_point_once():
-    inst, truth = simulated(3, seed=2)
-    layout = _Layout(inst)
-    labels = GroundTruth(dict(list(truth.labels.items())[:150]))
-    targets = one_hot_targets(inst, labels)
-    obj_weight = np.bincount(
-        inst.cand_object, weights=targets, minlength=inst.n_objects
-    )
-    fg = _object_smooth_loss(inst, targets, obj_weight, 0.01, layout)
-    x0 = layout.pack(WeightVector.zeros(inst))
-    l1 = layout.l1_weights(0.5)
-
-    seen: list[bytes] = []
-
-    def recording_fg(x):
-        seen.append(x.tobytes())
-        return fg(x)
-
-    # A large first step forces backtracking, and momentum overshoots force
-    # restarts, which the reference re-evaluates. Both run all 300
-    # iterations: the reference's objective decrease and the solver's KKT
-    # residual stay above 1e-9.
-    args = (l1, 300, 1e-9, 20.0)
-    x, diag = proximal_fit(x0, recording_fg, *args)
-    ref_x, ref_iters, ref_obj, restarts = ref_proximal_fit(x0, fg, *args)
-    assert restarts > 0
-    assert x.tobytes() == ref_x.tobytes()
-    assert (diag.iterations, diag.objective) == (ref_iters, ref_obj)
-    assert diag.iterations == 300 and not diag.converged
-    assert len(seen) == len(set(seen))

@@ -14,10 +14,12 @@ from trustfuse import (
     LearnConfig,
     WeightVector,
     add_copying_features,
+    estimate_pair_state,
     fit_em,
     fit_erm_object,
     fit_erm_observation,
     fit_weights,
+    lasso_path,
     majority_vote,
     map_values,
     posterior_all,
@@ -31,8 +33,6 @@ from trustfuse.learning import (
     _binomial_loss,
     _fit_binomial,
     _object_sigma_loss,
-    _object_smooth_loss,
-    _proximal_newton,
     _soft_threshold,
     object_loss_and_grad,
     observation_loss_and_grad,
@@ -41,17 +41,35 @@ from trustfuse.learning import (
 )
 from trustfuse.simulation import SimConfig, generate
 from conftest import random_instance, random_weights, truth_by_name
+from test_kernels import ref_proximal_fit
 
 
-# The FISTA references run with a bound of 0, so only this cap or a stalled
-# line search stops them. Stopped instead when a step lowered the objective
-# by less than 1e-15, they ran 991 to 3 402 iterations on these fixtures, so
-# here their objective is no higher than at that stop.
+# The FISTA references run with a tolerance of 0, so only this cap, a step
+# that lowers the objective by less than 0 or a stalled line search stops
+# them. Stopped instead when a step lowered the objective by less than
+# 1e-15, they ran 991 to 3 402 iterations on these fixtures, so here their
+# objective is no higher than at that stop.
 FISTA_REF_ITERS = 4000
 
 
 def fista_reference(fg, x0, l1):
-    return proximal_fit(x0, fg, l1, FISTA_REF_ITERS, 0.0)[0]
+    return ref_proximal_fit(x0, fg, l1, FISTA_REF_ITERS, 0.0)[0]
+
+
+def l1_vector(layout, l1):
+    """The L1 weight of each coordinate of x = [w_s | w_pairs | w_k]."""
+    return np.repeat([0.0, l1], [layout.n_w, layout.size - layout.n_w])
+
+
+def object_fg(inst, targets, l2):
+    """`object_loss_and_grad` on the flat vector x."""
+    layout = _Layout(inst)
+
+    def fg(x):
+        loss, grad = object_loss_and_grad(inst, targets, layout.unpack(x), l2)
+        return loss, layout.pack(grad)
+
+    return fg
 
 
 def two_source_instance():
@@ -285,7 +303,7 @@ class TestFitBinomial:
         tol = 1e-10
         x, diag = _fit_binomial(inst.features, correct, total, l1, self.L2,
                                 x0, 100, tol)
-        x_ref = fista_reference(fg, x0, layout.l1_weights(l1))
+        x_ref = fista_reference(fg, x0, l1_vector(layout, l1))
 
         def objective(z):
             return fg(z)[0] + l1 * float(np.abs(z[layout.n_s:]).sum())
@@ -358,9 +376,7 @@ class TestObjectNewton:
     def kkt(self, inst, targets, x, l1):
         """The KKT residual at x and the bound `fit_weights` checks it by."""
         layout = _Layout(inst)
-        fg = _object_smooth_loss(inst, targets, self.obj_weight(inst, targets),
-                                 self.L2, layout)
-        _, g = fg(x)
+        _, g = object_fg(inst, targets, self.L2)(x)
         v = x[layout.n_s:]
         residual = max(np.max(np.abs(g[:layout.n_s])),
                        np.max(np.abs(v - _soft_threshold(v - g[layout.n_s:], l1))))
@@ -388,9 +404,8 @@ class TestObjectNewton:
         w, diag = fit_weights(inst, targets, cfg)
         layout = _Layout(inst)
         x = layout.pack(w)
-        fg = _object_smooth_loss(inst, targets, self.obj_weight(inst, targets),
-                                 self.L2, layout)
-        x_ref = fista_reference(fg, np.zeros(layout.size), layout.l1_weights(l1))
+        fg = object_fg(inst, targets, self.L2)
+        x_ref = fista_reference(fg, np.zeros(layout.size), l1_vector(layout, l1))
 
         def objective(z):
             return fg(z)[0] + l1 * float(np.abs(z[layout.n_s:]).sum())
@@ -432,7 +447,7 @@ class TestObjectNewton:
         x0 = np.zeros(inst.n_sources + inst.n_features)
         x0[0] = np.nan
         with pytest.raises(ValueError):
-            _proximal_newton(inst.features, loss, 0.0, self.L2, x0, 10, 1e-6)
+            proximal_fit(x0, loss, inst.features, 0.0, self.L2, 10, 1e-6)
 
     @pytest.mark.parametrize("l1", [0.0, 0.1])
     def test_no_ridge_with_an_unlabelled_source_gives_finite_weights(
@@ -457,8 +472,26 @@ class TestObjectNewton:
 
 
 class TestCopyingPairFit:
-    """`fit_weights` with copying-pair weights (accelerated proximal
-    gradient) stops on the same KKT bound as the Newton fits."""
+    """`fit_weights` with copying-pair weights: proximal Newton whose
+    curvature is an operator, on the same KKT bound as every other fit."""
+
+    @staticmethod
+    def kkt(inst, targets, w, cfg):
+        """The KKT residual at w, from `object_loss_and_grad`, and the bound
+        `fit_weights` checks it by."""
+        _, g = object_loss_and_grad(inst, targets, w, cfg.l2_intercept_penalty)
+        v = w.feature_weights
+        l1 = cfg.l1_feature_penalty
+        residual = max(
+            np.max(np.abs(g.source_intercepts)),
+            max(abs(g.pair_weights[p]) for p in inst.pairs),
+            np.max(np.abs(v - _soft_threshold(v - g.feature_weights, l1))),
+        )
+        obj_weight = np.bincount(inst.cand_object, weights=targets,
+                                 minlength=inst.n_objects)
+        labelled_obs = np.bincount(inst.obs_source,
+                                   weights=obj_weight[inst.obs_object])
+        return residual, cfg.objective_tol * max(1.0, labelled_obs.max())
 
     @pytest.mark.parametrize("n_sources,n_objects,seed",
                              [(20, 300, 1), (30, 400, 3), (25, 300, 5)])
@@ -474,31 +507,138 @@ class TestCopyingPairFit:
         targets = one_hot_targets(inst, GroundTruth({o: labels[o] for o in keys}))
         cfg = LearnConfig(l1_feature_penalty=l1)
         w, diag = fit_weights(inst, targets, cfg)
-        _, g = object_loss_and_grad(inst, targets, w, cfg.l2_intercept_penalty)
-        v = w.feature_weights
-        residual = max(
-            np.max(np.abs(g.source_intercepts)),
-            max(abs(g.pair_weights[p]) for p in inst.pairs),
-            np.max(np.abs(v - _soft_threshold(v - g.feature_weights, l1))),
-        )
-        obj_weight = np.bincount(inst.cand_object, weights=targets,
-                                 minlength=inst.n_objects)
-        labelled_obs = np.bincount(inst.obs_source,
-                                   weights=obj_weight[inst.obs_object])
-        bound = cfg.objective_tol * max(1.0, labelled_obs.max())
+        residual, bound = self.kkt(inst, targets, w, cfg)
         assert diag.converged
         assert residual <= bound
+
+    def test_default_cap_suffices_at_benchmark_scale(self):
+        # The erm-labeled shape with about 9.4k copying pairs. Accelerated
+        # proximal gradient needed about 1 300 steps here and stopped at
+        # the 500-step cap with converged=False.
+        sim = generate(SimConfig(n_sources=200, n_objects=5000, density=0.03,
+                                 true_weights=(1.5, -0.8, 0.6), seed=1))
+        inst = add_copying_features(sim.instance, min_overlap=5)
+        assert 9000 < len(inst.pairs) < 10000
+        labels = sim.truth.restricted_to_domains(inst).labels
+        targets = one_hot_targets(
+            inst, GroundTruth({o: labels[o] for o in sorted(labels)[:500]})
+        )
+        cfg = LearnConfig(l1_feature_penalty=0.1)
+        w, diag = fit_weights(inst, targets, cfg)
+        assert diag.converged and diag.iterations < cfg.max_inner_iters
+        residual, bound = self.kkt(inst, targets, w, cfg)
+        assert residual <= bound
+
+    def test_curvature_operator_matches_finite_differences(self):
+        sim = generate(SimConfig(n_sources=15, n_objects=200, density=0.3,
+                                 domain_size=3, true_weights=(1.5, -0.8),
+                                 seed=2))
+        inst = add_copying_features(sim.instance, min_overlap=5)
+        labels = sim.truth.restricted_to_domains(inst).labels
+        targets = one_hot_targets(
+            inst, GroundTruth({o: labels[o] for o in sorted(labels)[:80]})
+        )
+        # Label mass other than 1 per object, which scales the curvature.
+        targets = targets * np.where(inst.cand_object % 2, 1.5, 0.5)
+        obj_weight = np.bincount(inst.cand_object, weights=targets,
+                                 minlength=inst.n_objects)
+        loss = _object_sigma_loss(inst, targets, obj_weight)
+        n_u = inst.n_sources + len(inst.pairs)
+        u = np.random.default_rng(3).normal(size=n_u)
+        _, _, curv = loss(u)
+        h = 1e-6
+        dense = np.column_stack([curv.matvec(e) for e in np.eye(n_u)])
+        fd = np.column_stack([
+            (loss(u + h * e)[1] - loss(u - h * e)[1]) / (2 * h) for e in np.eye(n_u)
+        ])
+        np.testing.assert_allclose(dense, fd, atol=1e-7)
+        np.testing.assert_allclose(dense, dense.T, atol=1e-12)
+        np.testing.assert_allclose(curv.diagonal, np.diag(dense), atol=1e-12)
+
+
+@pytest.fixture
+def proximal_fit_calls(monkeypatch):
+    """Wrap `proximal_fit` as the benchmark's tracer does: in every
+    trustfuse module that holds it, by a wrapper shaped (x0, loss, *args)
+    that counts calls of its second argument. Records, per call, the loss
+    evaluations and the Newton steps."""
+    calls = []
+
+    def wrapper(x0, loss, *args, **kwargs):
+        evals = 0
+
+        def counted(u):
+            nonlocal evals
+            evals += 1
+            return loss(u)
+
+        x, diag = proximal_fit(x0, counted, *args, **kwargs)
+        calls.append((evals, diag.iterations))
+        return x, diag
+
+    for name, module in list(sys.modules.items()):
+        held = vars(module).get("proximal_fit")
+        if name.startswith("trustfuse.") and held is proximal_fit:
+            monkeypatch.setattr(module, "proximal_fit", wrapper)
+    return calls
+
+
+class TestEveryFitIsProximalFit:
+    @pytest.fixture(scope="class")
+    def sim(self):
+        return generate(SimConfig(n_sources=20, n_objects=300, density=0.2,
+                                  true_weights=(1.5, -0.8, 0.6), seed=7))
+
+    @staticmethod
+    def some_labels(sim, n=60):
+        labels = sim.truth.restricted_to_domains(sim.instance).labels
+        return GroundTruth(dict(sorted(labels.items())[:n]))
+
+    @pytest.mark.parametrize("pairs", [False, True])
+    def test_object_erm(self, sim, proximal_fit_calls, pairs):
+        inst = add_copying_features(sim.instance) if pairs else sim.instance
+        assert bool(inst.pairs) == pairs
+        cfg = LearnConfig(l1_feature_penalty=0.1)
+        _, diag = fit_erm_object(inst, self.some_labels(sim), cfg)
+        assert [steps for _, steps in proximal_fit_calls] == [diag.iterations]
+        assert proximal_fit_calls[0][0] > diag.iterations > 0
+
+    def test_observation_erm(self, sim, proximal_fit_calls):
+        labels = self.some_labels(sim)
+        _, diag = fit_erm_observation(sim.instance, labels, LearnConfig())
+        assert [steps for _, steps in proximal_fit_calls] == [diag.iterations]
+        assert proximal_fit_calls[0][0] > diag.iterations > 0
+
+    def test_em_once_per_outer_iteration(self, sim, proximal_fit_calls):
+        _, _, diag = fit_em(sim.instance, self.some_labels(sim, 5), LearnConfig())
+        assert len(proximal_fit_calls) == diag.iterations > 1
+        assert all(evals > 0 for evals, _ in proximal_fit_calls)
+
+    def test_lasso_path(self, sim, proximal_fit_calls):
+        lasso_path(sim.instance, self.some_labels(sim), 4, LearnConfig())
+        # The intercept-only fit, then one fit per grid point after the first.
+        assert len(proximal_fit_calls) == 4
+
+    def test_pair_estimator(self, proximal_fit_calls):
+        sim = generate(SimConfig(n_sources=10, n_objects=500, pair_sampling=True,
+                                 true_weights=(2.0, 1.0), seed=3))
+        estimate_pair_state(sim.instance, 0.1, LearnConfig())
+        assert len(proximal_fit_calls) == 1
+        assert proximal_fit_calls[0][0] > 0
 
 
 def test_import_keeps_scipy_optimize_out():
     # scipy.optimize adds about 23 MB to the resident size of every process
-    # that imports trustfuse.
+    # that imports trustfuse; scipy.sparse.linalg is not needed either.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
     )
-    code = "import sys, trustfuse; sys.exit('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, trustfuse; sys.exit('scipy.optimize' in sys.modules"
+        " or 'scipy.sparse.linalg' in sys.modules)"
+    )
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
