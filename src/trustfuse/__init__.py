@@ -40,7 +40,6 @@ from .analysis import (
     add_copying_features,
     estimate_pair_state,
     lasso_path,
-    pairwise_unsupervised_estimate,
     predict_new_source_accuracy,
 )
 from .simulation import SimConfig, SimResult, add_clone, generate
@@ -93,7 +92,6 @@ __all__ = [
     "lasso_path",
     "predict_new_source_accuracy",
     "add_copying_features",
-    "pairwise_unsupervised_estimate",
     "SimConfig",
     "SimResult",
     "generate",

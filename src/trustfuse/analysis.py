@@ -24,7 +24,6 @@ __all__ = [
     "lasso_path",
     "predict_new_source_accuracy",
     "add_copying_features",
-    "pairwise_unsupervised_estimate",
     "estimate_pair_state",
 ]
 
@@ -215,12 +214,3 @@ def estimate_pair_state(
         accuracies=accuracies,
         n_reduced_objects=n_o,
     )
-
-
-def pairwise_unsupervised_estimate(
-    instance: FusionInstance,
-    delta: float,
-    config: LearnConfig,
-) -> dict[str, float]:
-    """Per-source accuracies from agreement structure alone."""
-    return estimate_pair_state(instance, delta, config).accuracies

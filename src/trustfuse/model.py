@@ -55,9 +55,10 @@ class WeightVector:
             raise ValueError("source intercepts must be finite")
         if not np.all(np.isfinite(self.feature_weights)):
             raise ValueError("feature weights must be finite")
-        for p, w in self.pair_weights.items():
-            if not np.isfinite(w):
-                raise ValueError(f"pair weight for {p} must be finite")
+        finite = np.isfinite(np.fromiter(self.pair_weights.values(), float))
+        if not finite.all():
+            first = list(self.pair_weights)[int(np.argmin(finite))]
+            raise ValueError(f"pair weight for {first} must be finite")
 
     @classmethod
     def zeros(cls, instance: FusionInstance) -> "WeightVector":

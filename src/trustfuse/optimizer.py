@@ -9,10 +9,10 @@ when labels are plentiful relative to the feature count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .instance import FusionInstance, GroundTruth
 
@@ -79,21 +79,16 @@ def _entropy_bits(p):
     return h if h.ndim else float(h)
 
 
-def em_units(
-    instance: FusionInstance, avg_accuracy: float, per_observer: bool = True
-) -> float:
-    """Expected information units contributed by one EM E-step.
-
-    ``per_observer=True`` multiplies each object's 1 - H(p_e) by its number
-    of observers so the scale matches ground-truth units; set it to False
-    to count one unit slot per object instead.
-    """
+def em_units(instance: FusionInstance, avg_accuracy: float) -> float:
+    """Expected information units contributed by one EM E-step: each
+    object's 1 - H(p_e) times its number of observers, the scale of
+    ground-truth units."""
     if not (0.0 < avg_accuracy < 1.0):
         raise ValueError("average accuracy must lie strictly in (0, 1)")
     m = instance.obs_counts
     p_e = majority_success_probability(m, instance.cand_counts, avg_accuracy)
     useful = p_e >= 0.5
-    gains = (m[useful] if per_observer else 1) * (1.0 - _entropy_bits(p_e[useful]))
+    gains = m[useful] * (1.0 - _entropy_bits(p_e[useful]))
     # cumsum adds one object at a time in object order; np.sum would pair
     # terms up and round differently.
     return float(np.cumsum(gains)[-1]) if gains.size else 0.0
@@ -110,9 +105,24 @@ def majority_success_probability(m, domain_size, accuracy: float):
     if np.any(m < 1) or np.any(domain_size < 1):
         raise ValueError("object must have observations and a non-empty domain")
     k = np.minimum(m // domain_size, m - 1)
-    # Survival function of Binomial(m, accuracy) at k, computed via the
-    # regularized incomplete beta function (stable for m up to 1e4+).
-    p = special.bdtrc(k, m, accuracy)
+    if accuracy in (0.0, 1.0):
+        # The tail starts at 1 <= k + 1 <= m: all mass sits at 0 or at m.
+        p = np.full(k.shape, float(accuracy))
+        return p if p.ndim else float(p)
+    sizes, which = np.unique(np.broadcast_to(m, k.shape), return_inverse=True)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(sizes[-1] + 1)])
+    tails = []
+    for n in sizes:
+        # Binomial(n, accuracy) pmf in log space, summed from j = n down so
+        # tails[.][j] = P(X >= j) adds its smallest terms first.
+        j = np.arange(n + 1)
+        log_pmf = (log_fact[n] - log_fact[j] - log_fact[n - j]
+                   + j * np.log(accuracy) + (n - j) * np.log1p(-accuracy))
+        tails.append(np.cumsum(np.exp(log_pmf)[::-1])[::-1])
+    starts = np.cumsum(sizes + 1) - (sizes + 1)
+    p = np.concatenate(tails)[starts[which.reshape(k.shape)] + k + 1]
+    # Rounding can lift a sum of nearly all the mass a few ulps above 1.
+    p = np.minimum(p, 1.0)
     return p if p.ndim else float(p)
 
 

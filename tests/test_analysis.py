@@ -13,7 +13,6 @@ from trustfuse import (
     estimate_pair_state,
     fit_erm_object,
     lasso_path,
-    pairwise_unsupervised_estimate,
     posterior_all,
     predict_new_source_accuracy,
 )
@@ -239,7 +238,7 @@ class TestPairEstimator:
         sim = generate(SimConfig(n_sources=40, n_objects=20000, pair_sampling=True,
                                  true_weights=(2.0, 1.0), feature_density=0.5,
                                  seed=4))
-        est = pairwise_unsupervised_estimate(sim.instance, 0.1, LearnConfig(seed=0))
+        est = estimate_pair_state(sim.instance, 0.1, LearnConfig(seed=0)).accuracies
         errs = [abs(est[f"s{s}"] - sim.true_accuracies[s]) for s in range(40)]
         assert np.mean(errs) < 0.1
 

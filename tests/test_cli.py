@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -616,3 +619,50 @@ class TestPairEstimateCommand:
         errs = [abs(payload["accuracies"][f"s{s}"] - sim.true_accuracies[s])
                 for s in range(10)]
         assert np.mean(errs) < 0.15
+
+
+BLOCKED_SCIPY_SESSION = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from pathlib import Path
+from trustfuse.cli import main
+
+def run(*argv):
+    code = main([str(a) for a in argv])
+    assert code == 0, (argv, code)
+
+d = Path(sys.argv[1])
+data = d / "data"
+run("simulate", "--sources", 10, "--objects", 400, "--density", 0.3,
+    "--feature-model", "2.0,-1.0", "--seed", 3, "--out-dir", data)
+obs, feats, truth = (data / f"{f}.csv" for f in ("observations", "features", "truth"))
+labels = d / "labels.csv"
+labels.write_text("\\n".join(truth.read_text().splitlines()[:9]) + "\\n")
+run("fuse", "--observations", obs, "--features", feats, "--truth", labels,
+    "--algo", "auto", "--out", d / "result.json")
+run("optimize", "--observations", obs, "--features", feats, "--truth", labels)
+run("evaluate", "--observations", obs, "--features", feats, "--truth", truth,
+    "--train-fractions", "0.05", "--reps", 1, "--out", d / "report.json")
+run("lasso-path", "--observations", obs, "--features", feats, "--truth", truth,
+    "--grid", 5, "--out", d / "lasso.csv")
+run("pair-estimate", "--observations", obs, "--features", feats,
+    "--out", d / "pairs.json")
+run("predict-sources", "--weights", d / "result.json", "--features", feats,
+    "--out", d / "predictions.json")
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", BLOCKED_SCIPY_SESSION, str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    decision = json.loads(done.stdout)
+    assert decision["em_units"] > 0
+    assert json.loads((tmp_path / "result.json").read_text())["values"]

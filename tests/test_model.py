@@ -26,6 +26,17 @@ def one_object(values_by_source):
     )
 
 
+class TestWeightVector:
+    def test_names_the_first_non_finite_pair_weight(self):
+        pairs = {(i, j): 0.1 * i - 0.01 * j
+                 for i in range(200) for j in range(i + 1, 200)}
+        pairs[(150, 170)] = np.nan
+        pairs[(160, 161)] = np.inf
+        message = r"pair weight for \(150, 170\) must be finite"
+        with pytest.raises(ValueError, match=message):
+            WeightVector(np.zeros(200), np.zeros(0), pairs)
+
+
 class TestSourceAccuracy:
     def test_zero_weights_give_half(self):
         inst = one_object(["a"])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from trustfuse import (
     FusionInstance,
@@ -124,13 +125,48 @@ class TestEmUnits:
         units = [em_units(sim.instance, a) for a in grid]
         assert np.all(np.diff(units) >= -1e-9)
 
-    def test_per_object_flag(self):
-        inst = FusionInstance.from_triples(
-            ["s0", "s1"], ["o0"], [(0, 0, "a"), (0, 1, "a")]
-        )
-        with_m = em_units(inst, 0.9)
-        without_m = em_units(inst, 0.9, per_observer=False)
-        assert with_m == pytest.approx(2 * without_m)
+
+class TestMajoritySuccessProbability:
+    M = np.array([*range(1, 200), 500, 1_000, 5_000, 10_000])
+
+    @pytest.mark.parametrize("domain", [1, 2, 3, 5, 12])
+    @pytest.mark.parametrize(
+        "accuracy", [1e-9, 0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-12]
+    )
+    def test_matches_scipy_bdtrc(self, domain, accuracy):
+        got = majority_success_probability(self.M, domain, accuracy)
+        k = np.minimum(self.M // domain, self.M - 1)
+        ref = special.bdtrc(k, self.M, accuracy)
+        shown = ref > 1e-300
+        assert np.all(got >= 0.0) and np.all(got <= 1.0)
+        np.testing.assert_allclose(got[shown], ref[shown], rtol=1e-10, atol=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("domain", [1, 2, 5])
+    def test_exact_at_zero_and_one(self, domain):
+        for m in (1, 2, 7, 1_000):
+            assert majority_success_probability(m, domain, 0.0) == 0.0
+            assert majority_success_probability(m, domain, 1.0) == 1.0
+        ones = majority_success_probability(self.M, domain, 1.0)
+        assert ones.shape == self.M.shape and np.all(ones == 1.0)
+
+    def test_array_call_equals_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        m = rng.integers(1, 60, size=(4, 25))
+        domain = rng.integers(1, 6, size=(4, 25))
+        for accuracy in (0.3, 0.72, 1 - 1e-12):
+            got = majority_success_probability(m, domain, accuracy)
+            assert got.shape == m.shape
+            for idx in np.ndindex(m.shape):
+                one = majority_success_probability(
+                    int(m[idx]), int(domain[idx]), accuracy
+                )
+                assert isinstance(one, float) and got[idx] == one
+
+    @pytest.mark.parametrize("m, domain", [(0, 2), (3, 0), (np.array([2, 0]), 2)])
+    def test_rejects_empty_objects_and_domains(self, m, domain):
+        with pytest.raises(ValueError):
+            majority_success_probability(m, domain, 0.7)
 
 
 class TestGroundTruthUnits:
