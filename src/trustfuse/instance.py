@@ -8,8 +8,10 @@ treats instances as values.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,6 +36,34 @@ class InstanceError(ValueError):
     def __init__(self, message: str, positions: tuple[int, ...] = ()):
         super().__init__(message)
         self.positions = positions
+
+
+def factorize(
+    cells: Sequence[str], strip: bool = False
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct cells in first-appearance order, and each cell's code:
+    its position in that tuple, as int64.
+
+    With ``strip``, the distinct cells are trimmed of surrounding whitespace
+    and cells that trim to the same string share one code, ranked by the
+    first appearance of the trimmed string.
+    """
+    firsts: dict = {}
+    first = np.fromiter(
+        map(firsts.setdefault, cells, itertools.count()),
+        dtype=np.int64,
+        count=len(cells),
+    )
+    # first[i] is the position of cell i's first appearance; numbering the
+    # first appearances in order gives the dense codes.
+    codes = (np.cumsum(first == np.arange(first.size), dtype=np.int64) - 1)[first]
+    distinct = tuple(firsts)
+    if strip:
+        trimmed = tuple(map(str.strip, distinct))
+        if trimmed != distinct:
+            distinct, merged = factorize(trimmed)
+            codes = merged[codes]
+    return distinct, codes
 
 
 @dataclass(frozen=True)
@@ -71,27 +101,58 @@ class FusionInstance:
         """Build an instance from (object index, source index, value) triples.
 
         ``triples`` is read once, so a generator or ``zip`` object serves as
-        well as a list, and no triple is kept after it is read.
+        well as a list. The triples are unzipped into columns and handed to
+        `from_columns`, whose checks and candidate order apply.
+        """
+        triples = list(triples)
+        if set(map(len, triples)) - {3}:
+            raise InstanceError("every triple must be (object, source, value)")
+        n = len(triples)
+        values, obs_value = factorize(list(map(itemgetter(2), triples)))
+        return cls.from_columns(
+            sources,
+            objects,
+            np.fromiter(map(itemgetter(0), triples), np.int64, n),
+            np.fromiter(map(itemgetter(1), triples), np.int64, n),
+            values,
+            obs_value,
+            features,
+            feature_names,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        sources: Sequence[str],
+        objects: Sequence[str],
+        obs_object: np.ndarray,
+        obs_source: np.ndarray,
+        values: Sequence[str],
+        obs_value: np.ndarray,
+        features: np.ndarray | None = None,
+        feature_names: Sequence[str] = (),
+    ) -> "FusionInstance":
+        """Build an instance from observation columns: observation i is
+        (``obs_object[i]``, ``obs_source[i]``, ``values[obs_value[i]]``).
 
         Rejects out-of-range indices, then duplicate (object, source) pairs
-        (the error's ``positions`` are the first triple and its repeat),
-        then objects with zero observations, then non-finite feature values.
-        Each object's candidates come in the order the triples first report
-        them.
+        (the error's ``positions`` are the first observation and its
+        repeat), then objects with zero observations, then non-finite
+        feature values. Each object's candidates come in the order its
+        observations first report them.
         """
         sources = tuple(sources)
         objects = tuple(objects)
+        values = tuple(values)
         n_s, n_o = len(sources), len(objects)
-        obs_o: list[int] = []
-        obs_s: list[int] = []
-        values: list[str] = []
-        for o, s, value in triples:
-            obs_o.append(o)
-            obs_s.append(s)
-            values.append(value)
-        obs_o = np.asarray(obs_o, dtype=np.int64)
-        obs_s = np.asarray(obs_s, dtype=np.int64)
-        for name, idx, n in (("object", obs_o, n_o), ("source", obs_s, n_s)):
+        obs_o = np.asarray(obs_object, dtype=np.int64)
+        obs_s = np.asarray(obs_source, dtype=np.int64)
+        obs_v = np.asarray(obs_value, dtype=np.int64)
+        for name, idx, n in (
+            ("object", obs_o, n_o),
+            ("source", obs_s, n_s),
+            ("value", obs_v, len(values)),
+        ):
             bad = np.flatnonzero((idx < 0) | (idx >= n))
             if bad.size:
                 raise InstanceError(f"{name} index {idx[bad[0]]} out of range")
@@ -111,10 +172,8 @@ class FusionInstance:
             raise InstanceError(f"object {objects[empty[0]]!r} has no observations")
         # Candidates are the distinct (object, value code) keys, ranked by
         # object and then by first appearance.
-        codes: dict[str, int] = {}
-        value_code = [codes.setdefault(v, len(codes)) for v in values]
         _, first, cand = np.unique(
-            obs_o * max(len(codes), 1) + np.asarray(value_code, dtype=np.int64),
+            obs_o * max(len(values), 1) + obs_v,
             return_index=True,
             return_inverse=True,
         )
@@ -137,7 +196,7 @@ class FusionInstance:
             obs_object=obs_o,
             obs_source=obs_s,
             obs_cand=np.argsort(order)[cand],
-            cand_values=tuple(values[i] for i in first[order].tolist()),
+            cand_values=tuple(map(values.__getitem__, obs_v[first[order]].tolist())),
             cand_offsets=np.concatenate(([0], np.cumsum(cand_counts))),
             features=features,
             feature_names=tuple(feature_names),

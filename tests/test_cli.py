@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -245,6 +246,64 @@ class TestLoaderRules:
         msg = load_error(tmp_path, self.HEADER + "o0,s0,a\no0,s1,b\n",
                          features=f"source_id,f0,f1\ns0,1,2\n\n{row}\n")
         assert msg == f"features.csv, line 4: expected 3 columns, got {width}"
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_cell_over_the_field_size_limit_is_one_error_line(self, tmp_path, capsys,
+                                                             quote):
+        # Unquoted text takes the reader's fast path, quoted text csv.reader.
+        obs = tmp_path / "observations.csv"
+        obs.write_text(self.HEADER + "o0,s0,a\n\n"
+                       + f"o1,s0,{quote}{'x' * 200_000}{quote}\no2,s0\n")
+        code = run("fuse", "--observations", obs, "--algo", "majority",
+                   "--out", tmp_path / "r.json")
+        assert code == 1
+        limit = csv.field_size_limit()
+        assert capsys.readouterr().err == (
+            f"error: {obs}, line 4: field larger than field limit ({limit})\n"
+        )
+
+    def test_cell_at_the_field_size_limit_loads(self, tmp_path):
+        cell = "x" * csv.field_size_limit()
+        for text in (f"o0,s0,{cell}\n", f'o0,s0,"{cell}"\n'):
+            inst, _ = load_files(tmp_path, self.HEADER + text)
+            assert inst.domains == ((cell,),)
+
+    def test_header_cell_over_the_field_size_limit(self, tmp_path):
+        limit = csv.field_size_limit()
+        msg = load_error(tmp_path, "x" * (limit + 1) + ",source_id,value\no0,s0,a\n")
+        assert msg == ("observations.csv, line 1: "
+                       f"field larger than field limit ({limit})")
+
+    def test_nul_byte_is_a_character_or_one_error_line(self, tmp_path, capsys):
+        obs = tmp_path / "observations.csv"
+        obs.write_text(self.HEADER + "o0,s0,a\no1,s0,b\0c\n")
+        code = run("fuse", "--observations", obs, "--algo", "majority",
+                   "--out", tmp_path / "r.json")
+        err = capsys.readouterr().err
+        if sys.version_info < (3, 11):
+            assert code == 1
+            assert err == f"error: {obs}, line 3: line contains NUL\n"
+        else:
+            # From Python 3.11 on, the csv module reads NUL as a character.
+            assert code == 0 and err == ""
+            values = json.loads((tmp_path / "r.json").read_text())["values"]
+            assert values["o1"] == "b\0c"
+
+    def test_record_ends_and_quoting_read_alike(self, tmp_path):
+        rows = [["o0", "s0", "a"], [" o0", "s1 ", " b"], ["o1", "s0", "a"]]
+        plain = ["object_id,source_id,value", *map(",".join, rows)]
+        expected, _ = load_files(tmp_path, "\n".join(plain) + "\n")
+        assert expected.domains == (("a", "b"), ("a",))
+        quoted = ['"' + '","'.join(r) + '"'
+                  for r in [["object_id", "source_id", "value"], *rows]]
+        for end in ("\n", "\r\n", "\r"):
+            for lines in (plain, quoted):
+                for tail in (end, ""):
+                    inst, _ = load_files(tmp_path, end.join(lines) + tail)
+                    assert inst.sources == expected.sources
+                    assert inst.objects == expected.objects
+                    assert inst.domains == expected.domains
+                    assert np.array_equal(inst.obs_cand, expected.obs_cand)
 
     def test_read_rows_counts_non_empty_data_rows(self, tmp_path):
         # perfbench's tracer counts `io.rows_read` as len(rows) of this call.

@@ -5,16 +5,26 @@ substance: the kernels must give the same numbers (bit for bit where the
 additions happen in the same order) and consume the rng the same way.
 """
 
+import csv
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustfuse import (
     FusionInstance,
     InstanceError,
     add_copying_features,
     em_units,
+    io,
+    load_instance,
     posterior_all,
 )
+from trustfuse.instance import factorize
+from trustfuse.io import dump_json, round_floats
 from trustfuse.model import argmax_with_ties, candidate_scores
 from trustfuse.optimizer import agreement_matrix, majority_success_probability
 from trustfuse.simulation import SimConfig, generate
@@ -60,6 +70,67 @@ def ref_from_triples(sources, objects, triples):
         np.asarray(obs_v, dtype=np.int64),
         tuple(tuple(d) for d in domains),
     )
+
+
+def ref_read_rows(path, min_cols):
+    """The per-row `csv.reader` loop `io._read_rows` replaced, plus the
+    conversion of `csv.Error` into a located InstanceError: returns (header,
+    columns of trimmed cells, line numbers, widths)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        lineno = 0
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise InstanceError(f"{path}: file is empty")
+            header = [h.strip() for h in header]
+            n_cols = max(min_cols, len(header))
+            cells, lines, widths = [], [], []
+            lineno = 1
+            for lineno, row in enumerate(reader, start=2):
+                width = len(row)
+                if not width:
+                    continue
+                if width < min_cols:
+                    raise InstanceError(
+                        f"{path}, line {lineno}: expected at least "
+                        f"{min_cols} columns, got {width}"
+                    )
+                lines.append(lineno)
+                widths.append(width)
+                if width != n_cols:
+                    row = row[:n_cols] if width > n_cols else row + [""] * (n_cols - width)
+                cells += row
+        except csv.Error as exc:
+            raise InstanceError(f"{path}, line {lineno + 1}: {exc}") from None
+    columns = [list(map(str.strip, cells[j::n_cols])) for j in range(n_cols)]
+    return header, columns, lines, widths
+
+
+def ref_load_observations(path):
+    """`load_instance` of an observations file through `ref_read_rows`,
+    dictionaries and `ref_from_triples`: returns (sources, objects,
+    obs_object, obs_source, obs_value_idx, domains)."""
+    header, columns, lines, _ = ref_read_rows(path, 3)
+    if header[:3] != ["object_id", "source_id", "value"]:
+        raise InstanceError(f"{path}: header must be object_id,source_id,value")
+    object_idx, source_idx, first_line = {}, {}, {}
+    for line, obj, src in zip(lines, columns[0], columns[1]):
+        key = (object_idx.setdefault(obj, len(object_idx)),
+               source_idx.setdefault(src, len(source_idx)))
+        if key in first_line:
+            raise InstanceError(
+                f"{path}, line {line}: duplicate observation for object {obj!r} "
+                f"and source {src!r} (first at line {first_line[key]})"
+            )
+        first_line[key] = line
+    triples = zip(map(object_idx.get, columns[0]), map(source_idx.get, columns[1]),
+                  columns[2])
+    obs_o, obs_s, obs_v, domains = ref_from_triples(
+        tuple(source_idx), tuple(object_idx), triples
+    )
+    return (tuple(source_idx), tuple(object_idx), obs_o.tolist(), obs_s.tolist(),
+            obs_v.tolist(), domains)
 
 
 def ref_candidate_scores(instance, w):
@@ -434,3 +505,136 @@ def test_copying_pairs_and_events_equal_loops(domain, seed):
     assert events[0].size
     for got, want in zip(events, ref_pair_events(some)):
         assert np.array_equal(got, want)
+
+
+# -- CSV reading and JSON writing ---------------------------------------------
+
+# Cells that trim to one another, that need quoting (comma, record ends, a
+# quote), that are blank, non-ASCII, NUL, or longer than CSV_LIMIT.
+CSV_CELLS = ("o0", " o0", "o1", "o1 ", "s0", " s0 ", "s1", "a", "a b", "b ", "",
+             " ", "é", "東京", "x,y", "p\nq", "r\r\ns", "t\ru", 'q"t', "\0",
+             "a-very-long-cell")
+CSV_LIMIT = 11  # " object_id " just fits, the long cell does not
+CSV_HEADERS = ("object_id,source_id,value", " object_id , source_id ,value",
+               "object_id,source_id,value,note", "object_id,source_id",
+               "object_id,value,source_id", '"object_id","source_id","value"', "")
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text mixing the three record ends, blank records, quoted and
+    padded cells, and rows of any width, with or without a final record end.
+    A third of the files hold well-formed observation rows only, and a third
+    one column, as a features file without features."""
+    cell = st.sampled_from(CSV_CELLS)
+    quoted = st.tuples(cell, st.booleans()).map(
+        lambda c: '"' + c[0].replace('"', '""') + '"' if c[1] else c[0]
+    )
+    observation = st.tuples(
+        st.sampled_from(("o0", "o1", " o1", "o2", "o2 ")),
+        st.sampled_from(("s0", "s1", "s2 ", " s1")),
+        st.sampled_from(("a", "b", " a", "c", "a-very-long-cell")),
+    ).map(",".join)
+    header = draw(st.one_of(st.sampled_from(CSV_HEADERS[:3]),
+                            st.sampled_from(CSV_HEADERS)))
+    mode = draw(st.sampled_from(("observations", "mixed", "one column")))
+    if mode == "observations":
+        row = observation
+    elif mode == "mixed":
+        row = st.one_of(observation, st.lists(quoted, max_size=5).map(",".join))
+    else:
+        header = "source_id"
+        row = st.sampled_from(("s0", " s0", "", "é", "a-very-long-cell"))
+    rows = draw(st.lists(row, max_size=12))
+    ends = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r")),
+                         min_size=len(rows) + 1, max_size=len(rows) + 1))
+    text = "".join(r + e for r, e in zip([header, *rows], ends))
+    return text if draw(st.booleans()) else text[: -len(ends[-1])]
+
+
+def outcome(read, *args):
+    try:
+        return read(*args)
+    except InstanceError as exc:
+        return "InstanceError", str(exc)
+
+
+def read_rows_by_column(path, min_cols):
+    header, rows = io._read_rows(path, min_cols)
+    columns = [list(map(str.strip, column)) for column in rows.columns]
+    return header, columns, list(rows.lines), list(rows.widths)
+
+
+def load_observations(path):
+    inst, _ = load_instance(path)
+    return (inst.sources, inst.objects, inst.obs_object.tolist(),
+            inst.obs_source.tolist(), inst.obs_value_idx.tolist(), inst.domains)
+
+
+@pytest.mark.parametrize("limit", [CSV_LIMIT, csv.field_size_limit()])
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts())
+def test_reader_and_loader_match_the_csv_reader_loop(tmp_path_factory, limit, text):
+    path = tmp_path_factory.getbasetemp() / "observations.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    default = csv.field_size_limit(limit)
+    try:
+        for min_cols in (1, 2, 3):
+            assert outcome(read_rows_by_column, path, min_cols) == outcome(
+                ref_read_rows, path, min_cols
+            )
+        assert outcome(load_observations, path) == outcome(ref_load_observations, path)
+    finally:
+        csv.field_size_limit(default)
+
+
+def test_factorize_merges_cells_that_trim_alike():
+    cells = ["b ", "a", " b", "b", "a ", "c"]
+    distinct, codes = factorize(cells + ["a"])
+    assert distinct == tuple(cells) and codes.tolist() == [0, 1, 2, 3, 4, 5, 1]
+    distinct, codes = factorize(cells, strip=True)
+    assert distinct == ("b", "a", "c")
+    assert codes.dtype == np.int64 and codes.tolist() == [0, 1, 0, 0, 1, 2]
+    assert factorize([], strip=True)[0] == () and factorize([])[1].size == 0
+
+
+def ref_dump_json(obj):
+    return json.dumps(round_floats(obj), sort_keys=True, indent=2) + "\n"
+
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+                | st.floats(allow_nan=True, allow_infinity=True))
+json_payloads = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=24,
+)
+JSON_PAYLOADS = [
+    {"a": math.nan, "b": math.inf, "c": -math.inf, "d": 0.1 + 0.2, "e": -0.0},
+    {"empty": {}, "none": [], "nested": {"x": [[], {}], "y": [{}]}},
+    {"ünï": "日本", "値": ["é", "\u2028", "\0"], "ascii": "a\"b\\c\n"},
+    {"n": 3, "big": 10**30, "t": True, "f": False, "z": None, "m": [1, 1.0, True]},
+    {"values": {f"o{i}": f"v{i % 3}" for i in range(50)},
+     "accuracies": {f"s{i}": 1 / (i + 3) for i in range(9)}},
+    {"rows": [{"config": {"train_fraction": 0.01, "rep": r}, "seed": r,
+               "algorithm": "erm", "object_accuracy": 2 / 3,
+               "weighted_accuracy_error": None, "runtime_ms": None}
+              for r in range(3)]},
+    {"accuracies": {"s0": np.float64(0.1234567890123456)}, "w": (1.5, 2)},
+    [], {}, 1.0000000000001, "plain", None,
+]
+
+
+@pytest.mark.parametrize("payload", JSON_PAYLOADS)
+def test_dump_json_matches_indent_encoder(tmp_path, payload):
+    dump_json(payload, tmp_path / "out.json")
+    assert (tmp_path / "out.json").read_bytes() == ref_dump_json(payload).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=json_payloads)
+def test_dump_json_matches_indent_encoder_on_random_payloads(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "out.json"
+    dump_json(payload, path)
+    assert path.read_bytes() == ref_dump_json(payload).encode()
