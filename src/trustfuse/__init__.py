@@ -42,7 +42,7 @@ from .analysis import (
     lasso_path,
     predict_new_source_accuracy,
 )
-from .simulation import SimConfig, SimResult, add_clone, generate
+from .simulation import SimConfig, SimResult, generate
 from .io import dump_json, load_instance, round_floats, write_instance
 from .evaluation import (
     empirical_accuracies,
@@ -95,7 +95,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "generate",
-    "add_clone",
     "empirical_accuracies",
     "object_accuracy",
     "weighted_accuracy_error",

@@ -9,7 +9,7 @@ import numpy as np
 from .instance import FusionInstance, GroundTruth
 from .model import _logistic
 
-__all__ = ["SimConfig", "SimResult", "generate", "add_clone"]
+__all__ = ["SimConfig", "SimResult", "generate"]
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,11 @@ class SimConfig:
             raise ValueError("pair sampling needs at least two sources")
         if self.domain_size < 2:
             raise ValueError("domain size must be at least 2")
+        given = (self.accuracy_mean, self.accuracy_spread, *(self.true_weights or ()))
+        if not np.all(np.isfinite(given)):
+            raise ValueError("accuracy mean, spread and feature weights must be finite")
+        if not (0.0 <= self.feature_density <= 1.0):
+            raise ValueError("feature density must be in [0, 1]")
         if self.true_weights is None:
             lo = self.accuracy_mean - self.accuracy_spread
             hi = self.accuracy_mean + self.accuracy_spread
@@ -71,6 +76,39 @@ def _draw_accuracies(
     return acc, features, w, names
 
 
+# Density mode draws its observer mask for blocks of objects of about this
+# many floats, so a 500 x 20 000 draw never holds one 80 MB array. The block
+# size fixes how the random stream is split, so changing it changes every
+# seeded density-mode instance.
+_DRAW_BLOCK = 2**20
+
+
+def _draw_observers(
+    config: SimConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Observation (object, source) columns in object-major order."""
+    n_s, n_o = config.n_sources, config.n_objects
+    if config.pair_sampling:
+        # Uniform over ordered pairs of distinct sources.
+        first = rng.integers(n_s, size=n_o)
+        second = rng.integers(n_s - 1, size=n_o)
+        second += second >= first
+        return np.repeat(np.arange(n_o), 2), np.column_stack((first, second)).ravel()
+    rows = max(1, _DRAW_BLOCK // n_s)
+    obs_o, obs_s = [], []
+    for start in range(0, n_o, rows):
+        mask = rng.random((min(rows, n_o - start), n_s)) < config.density
+        # Re-draw whole rows until no object is left without an observer.
+        empty = np.flatnonzero(~mask.any(axis=1))
+        while empty.size:
+            mask[empty] = rng.random((empty.size, n_s)) < config.density
+            empty = empty[~mask[empty].any(axis=1)]
+        o, s = np.nonzero(mask)
+        obs_o.append(o + start)
+        obs_s.append(s)
+    return np.concatenate(obs_o), np.concatenate(obs_s)
+
+
 def generate(config: SimConfig) -> SimResult:
     """Draw a full synthetic instance; identical seeds give identical output.
 
@@ -83,84 +121,25 @@ def generate(config: SimConfig) -> SimResult:
     n_s, n_o, d = config.n_sources, config.n_objects, config.domain_size
     accuracies, features, true_w, feature_names = _draw_accuracies(config, rng)
     truth_idx = rng.integers(d, size=n_o)
-
-    triples: list[tuple[int, int, str]] = []
-    for o in range(n_o):
-        if config.pair_sampling:
-            observers = rng.choice(n_s, size=2, replace=False)
-        else:
-            observers = np.flatnonzero(rng.random(n_s) < config.density)
-            while observers.size == 0:
-                observers = np.flatnonzero(rng.random(n_s) < config.density)
-        for s in observers:
-            if rng.random() < accuracies[s]:
-                v = int(truth_idx[o])
-            else:
-                v = int(rng.integers(d - 1))
-                if v >= truth_idx[o]:
-                    v += 1
-            triples.append((o, int(s), f"v{v}"))
-
-    instance = FusionInstance.from_triples(
+    obs_o, obs_s = _draw_observers(config, rng)
+    true_v = truth_idx[obs_o]
+    wrong_v = rng.integers(d - 1, size=obs_o.size)
+    wrong_v += wrong_v >= true_v
+    correct = rng.random(obs_o.size) < accuracies[obs_s]
+    instance = FusionInstance.from_columns(
         sources=[f"s{i}" for i in range(n_s)],
         objects=[f"o{i}" for i in range(n_o)],
-        triples=triples,
+        obs_object=obs_o,
+        obs_source=obs_s,
+        values=[f"v{v}" for v in range(d)],
+        obs_value=np.where(correct, true_v, wrong_v),
         features=features,
         feature_names=feature_names,
     )
-    truth = GroundTruth({o: f"v{int(truth_idx[o])}" for o in range(n_o)})
+    truth = GroundTruth({o: f"v{v}" for o, v in enumerate(truth_idx.tolist())})
     return SimResult(
         instance=instance,
         truth=truth,
         true_accuracies=accuracies,
         true_weights=true_w,
-    )
-
-
-def add_clone(
-    result: SimResult, source: int, noise: float, seed: int = 0
-) -> SimResult:
-    """Append a copy of ``source`` that re-rolls each value with prob ``noise``.
-
-    The clone observes exactly the objects its template observes; with
-    probability 1 - noise it repeats the template's value, otherwise it picks
-    a uniform different value from that object's synthetic domain.
-    """
-    if not (0.0 <= noise <= 1.0):
-        raise ValueError("noise must be in [0, 1]")
-    inst = result.instance
-    if not (0 <= source < inst.n_sources):
-        raise ValueError(f"source index {source} out of range")
-    rng = np.random.default_rng(seed)
-    clone_idx = inst.n_sources
-    triples = inst.triples()
-    domain_size = max(inst.cand_counts.max(), 2)
-    for o, s, value in list(triples):
-        if s != source:
-            continue
-        if rng.random() < noise:
-            v = int(value[1:])
-            alt = int(rng.integers(domain_size - 1))
-            if alt >= v:
-                alt += 1
-            value = f"v{alt}"
-        triples.append((o, clone_idx, value))
-    features = inst.features
-    if features.shape[1]:
-        features = np.vstack([features, features[source]])
-    else:
-        features = np.zeros((clone_idx + 1, 0))
-    new_inst = FusionInstance.from_triples(
-        sources=list(inst.sources) + [f"s{clone_idx}"],
-        objects=inst.objects,
-        triples=triples,
-        features=features,
-        feature_names=inst.feature_names,
-    )
-    acc = np.append(result.true_accuracies, result.true_accuracies[source])
-    return SimResult(
-        instance=new_inst,
-        truth=result.truth,
-        true_accuracies=acc,
-        true_weights=result.true_weights,
     )

@@ -17,7 +17,7 @@ from trustfuse import (
     predict_new_source_accuracy,
 )
 from trustfuse.learning import object_loss_and_grad, one_hot_targets
-from trustfuse.simulation import SimConfig, add_clone, generate
+from trustfuse.simulation import SimConfig, generate
 
 
 def featured_instance(seed=0, n_sources=30, n_objects=120):
@@ -190,8 +190,18 @@ class TestCopyingFeatures:
     def test_clone_pair_registered_by_overlap(self):
         sim = generate(SimConfig(n_sources=6, n_objects=400, density=0.5,
                                  accuracy_mean=0.7, seed=8))
-        cloned = add_clone(sim, source=0, noise=0.02, seed=1)
-        inst = add_copying_features(cloned.instance, min_overlap=5)
+        # s6 copies s0's value on every object s0 observes, and flips it
+        # 2% of the time.
+        base = sim.instance
+        rng = np.random.default_rng(1)
+        flip = {"v0": "v1", "v1": "v0"}
+        triples = base.triples()
+        triples += [(o, 6, flip[v] if rng.random() < 0.02 else v)
+                    for o, s, v in base.triples() if s == 0]
+        cloned = FusionInstance.from_triples(
+            [*base.sources, "s6"], base.objects, triples
+        )
+        inst = add_copying_features(cloned, min_overlap=5)
         assert (0, 6) in inst.pairs
 
     def test_min_overlap_validation(self):

@@ -527,6 +527,22 @@ class TestSimulateCommand:
                    "--density", 2.0, "--out-dir", tmp_path / "x")
         assert code == 1
 
+    @pytest.mark.parametrize("flag", [
+        ("--acc-mean", "nan"),
+        ("--acc-spread", "nan"),
+        ("--feature-model", "nan,1"),
+        ("--feature-density", "1.7"),
+    ])
+    def test_non_finite_or_out_of_range_input_is_input_error(
+        self, tmp_path, capsys, flag
+    ):
+        code = run("simulate", "--sources", 8, "--objects", 40, *flag,
+                   "--out-dir", tmp_path / "x")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "x").exists()
+
 
 class TestEvaluateCommand:
     def test_report_rows_and_determinism(self, sim_dir, tmp_path):

@@ -706,8 +706,18 @@ class TestFitWeights:
 class TestFitEm:
     def test_fully_labeled_reduces_to_erm(self, rng):
         sim = generate(SimConfig(n_sources=10, n_objects=30, density=0.4, seed=5))
-        inst = sim.instance
-        gt = sim.truth.restricted_to_domains(inst)
+        full = sim.instance
+        # An object whose true value no source reported loses its label, so
+        # keep only the labelled objects: the sub-instance is fully labelled.
+        labels = sim.truth.restricted_to_domains(full).labels
+        row = {o: i for i, o in enumerate(sorted(labels))}
+        inst = FusionInstance.from_triples(
+            full.sources,
+            [full.objects[o] for o in row],
+            [(row[o], s, v) for o, s, v in full.triples() if o in row],
+        )
+        gt = GroundTruth({row[o]: v for o, v in labels.items()})
+        assert len(gt) == inst.n_objects
         cfg = LearnConfig(objective_tol=1e-10, max_inner_iters=3000, seed=5)
         w_em, _, diag = fit_em(inst, gt, cfg)
         # EM's M-step is the observation loss, and with every object

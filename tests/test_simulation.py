@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trustfuse import SimConfig, SimResult, add_clone, generate
+from trustfuse import SimConfig, generate
 
 
 class TestConfigValidation:
@@ -23,6 +23,19 @@ class TestConfigValidation:
     def test_pair_sampling_needs_two_sources(self):
         with pytest.raises(ValueError):
             SimConfig(n_sources=1, n_objects=5, pair_sampling=True)
+
+    @pytest.mark.parametrize("field", [
+        {"accuracy_mean": float("nan")},
+        {"accuracy_spread": float("nan")},
+        {"true_weights": (float("nan"), 1.0)},
+        {"true_weights": (float("inf"),)},
+        {"feature_density": 1.7},
+        {"feature_density": -0.5},
+        {"feature_density": float("nan")},
+    ])
+    def test_rejects_non_finite_or_out_of_range_inputs(self, field):
+        with pytest.raises(ValueError):
+            SimConfig(n_sources=5, n_objects=5, **field)
 
 
 class TestGenerate:
@@ -99,44 +112,48 @@ class TestGenerate:
         assert sim.instance.features.shape == (5, 0)
         assert sim.true_weights is None
 
+    def test_wrong_values_uniform_over_the_other_values(self):
+        # At accuracy 0 every observation is wrong, and its value is uniform
+        # over the four values other than the truth.
+        sim = generate(SimConfig(n_sources=10, n_objects=4000, density=0.5,
+                                 domain_size=5, accuracy_mean=0.0, seed=12))
+        inst = sim.instance
+        truth = np.array([int(sim.truth.labels[o][1:])
+                          for o in range(inst.n_objects)])
+        value = np.array([int(inst.cand_values[c][1:]) for c in inst.obs_cand])
+        offset = (value - truth[inst.obs_object]) % 5
+        assert not np.any(offset == 0)
+        for t in range(5):
+            share = np.bincount(offset[truth[inst.obs_object] == t],
+                                minlength=5)[1:]
+            np.testing.assert_allclose(share / share.sum(), 0.25, atol=0.03)
 
-class TestAddClone:
-    def base(self):
-        return generate(SimConfig(n_sources=4, n_objects=300, density=0.6, seed=10))
-
-    def test_zero_noise_exact_copy(self):
-        sim = self.base()
-        cloned = add_clone(sim, source=1, noise=0.0, seed=0)
-        inst = cloned.instance
-        assert inst.n_sources == 5
-        assert inst.sources[-1] == "s4"
-        orig = {(o, v) for o, s, v in inst.triples() if s == 1}
-        copy = {(o, v) for o, s, v in inst.triples() if s == 4}
-        assert orig == copy
-        assert cloned.true_accuracies[-1] == sim.true_accuracies[1]
-
-    def test_noise_perturbs_some_values(self):
-        sim = self.base()
-        cloned = add_clone(sim, source=1, noise=0.3, seed=1)
-        inst = cloned.instance
-        orig = {o: v for o, s, v in inst.triples() if s == 1}
-        copy = {o: v for o, s, v in inst.triples() if s == 4}
-        assert set(orig) == set(copy)
-        disagree = np.mean([orig[o] != copy[o] for o in orig])
-        # a re-roll always lands on a different value in the binary case
-        assert disagree == pytest.approx(0.3, abs=0.07)
-
-    def test_rejects_bad_arguments(self):
-        sim = self.base()
-        with pytest.raises(ValueError):
-            add_clone(sim, source=99, noise=0.1)
-        with pytest.raises(ValueError):
-            add_clone(sim, source=0, noise=1.5)
-
-    def test_clone_copies_feature_row(self):
-        sim = generate(SimConfig(n_sources=6, n_objects=40, density=0.4,
-                                 true_weights=(1.0, -0.5), seed=11))
-        cloned = add_clone(sim, source=2, noise=0.0)
-        np.testing.assert_array_equal(
-            cloned.instance.features[-1], sim.instance.features[2]
+    def test_density_draw_spanning_several_blocks(self):
+        # 5000 sources put about 209 objects in each draw block, so 600
+        # objects take three blocks. At this density about one object in
+        # five draws no observer at first and is re-drawn, so each object's
+        # count is a Binomial(S, density) conditioned on being positive.
+        cfg = SimConfig(n_sources=5000, n_objects=600, density=0.0003, seed=13)
+        a, b = generate(cfg), generate(cfg)
+        inst = a.instance
+        for name in ("obs_object", "obs_source", "obs_cand"):
+            assert np.array_equal(getattr(inst, name), getattr(b.instance, name))
+        assert a.truth.labels == b.truth.labels
+        assert np.all(inst.obs_counts >= 1)
+        key = inst.obs_object * cfg.n_sources + inst.obs_source
+        assert np.all(np.diff(key) > 0)  # object-major, sources ascending
+        mean = cfg.n_sources * cfg.density
+        per_object = mean / (1.0 - (1.0 - cfg.density) ** cfg.n_sources)
+        assert inst.n_observations == pytest.approx(
+            cfg.n_objects * per_object, rel=0.1
         )
+
+    def test_pair_sampling_with_exactly_two_sources(self):
+        sim = generate(SimConfig(n_sources=2, n_objects=2000,
+                                 pair_sampling=True, seed=14))
+        inst = sim.instance
+        pairs = inst.obs_source.reshape(-1, 2)
+        assert np.array_equal(inst.obs_object, np.repeat(np.arange(2000), 2))
+        assert np.all(np.sort(pairs, axis=1) == [0, 1])
+        # Both orders are equally likely.
+        assert np.mean(pairs[:, 0] == 0) == pytest.approx(0.5, abs=0.05)
