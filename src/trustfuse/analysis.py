@@ -149,7 +149,6 @@ def _reduce_to_pairs(
 
 def estimate_pair_state(
     instance: FusionInstance,
-    delta: float,
     config: LearnConfig,
 ) -> PairEstimatorState:
     """Three-step unsupervised accuracy estimation on the pair-reduced instance.
@@ -161,8 +160,6 @@ def estimate_pair_state(
     """
     if instance.n_sources < 3:
         raise ValueError("need at least three sources")
-    if not (0.0 < delta <= 0.5):
-        raise ValueError("delta must be in (0, 0.5]")
     if instance.n_features < 1:
         raise ValueError("the estimator fits feature weights; need features")
     rng = np.random.default_rng(config.seed)

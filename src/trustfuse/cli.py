@@ -228,7 +228,7 @@ def _run_predict_sources(args: argparse.Namespace) -> int:
 def _run_pair_estimate(args: argparse.Namespace) -> int:
     instance, _ = load_instance(args.observations, args.features)
     config = learning.LearnConfig(seed=args.seed)
-    state = analysis.estimate_pair_state(instance, args.delta, config)
+    state = analysis.estimate_pair_state(instance, config)
     dump_json(
         {
             "a_e_hat": state.a_e_hat,
@@ -329,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pair.add_argument("--observations", required=True)
     pair.add_argument("--features", required=True)
-    pair.add_argument("--delta", type=float, default=0.2)
     pair.add_argument("--seed", type=int, default=0)
     pair.add_argument("--out", required=True)
     pair.set_defaults(func=_run_pair_estimate)

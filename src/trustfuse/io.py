@@ -28,75 +28,175 @@ __all__ = [
 
 @dataclass(frozen=True)
 class _Rows:
-    """The non-empty data rows of a CSV file, stored by column.
+    """The non-empty data rows of a CSV file, stored by coded column.
 
-    ``columns[j]`` holds cell j of every row as read, untrimmed, one column
-    per header cell (at least ``min_cols``); a row narrower than the header
-    reads "" in the missing cells. ``lines`` holds each row's line number,
-    counting CSV records with the header as line 1, and ``widths`` its
-    number of cells. ``len`` is the number of rows.
+    ``columns[j]`` is ``factorize(cells, strip=True)`` of cell j of every
+    row: the distinct trimmed cells in first-appearance order, and each
+    row's code into them. There is one column per header cell (at least
+    ``min_cols``); a row narrower than the header reads "" in the missing
+    cells. ``lines`` holds each row's line number, counting CSV records
+    with the header as line 1, and ``widths`` its number of cells. ``len``
+    is the number of rows.
     """
 
-    columns: tuple[Sequence[str], ...]
+    columns: tuple[tuple[tuple[str, ...], np.ndarray], ...]
     lines: Sequence[int]
     widths: Sequence[int]
 
     def __len__(self) -> int:
         return len(self.lines)
 
+    def cells(self, j: int) -> list[str]:
+        """Column j as one trimmed cell per row."""
+        distinct, codes = self.columns[j]
+        return list(map(distinct.__getitem__, codes.tolist()))
+
+
+# _LOW_BYTES[w] keeps the first w bytes of a little-endian 64-bit word.
+_LOW_BYTES = np.array([(1 << 8 * w) - 1 for w in range(9)], dtype=np.uint64)
+# splitmix64's increment and multipliers.
+_GAMMA, _MIX1, _MIX2 = np.array(
+    [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB], dtype=np.uint64
+)
+
 
 def _read_rows(path: Path, min_cols: int) -> tuple[list[str], _Rows]:
-    """Read a CSV file into its trimmed header and its rows by column.
+    """Read a CSV file into its trimmed header and its rows by coded column.
 
     A row with fewer than ``min_cols`` cells, or a cell longer than
-    `csv.field_size_limit`, raises InstanceError naming the file and line.
-    Text without quotes or NUL characters whose rows all have the same
-    width is split with `str` methods alone; any other text goes through
-    `csv.reader`, which the fast path agrees with cell for cell.
+    `csv.field_size_limit` characters, raises InstanceError naming the file
+    and line. Text without quotes or NUL characters, without blank records
+    after the header, and whose rows all have the same width is coded from
+    its bytes (`_code_cells`); any other text goes through `csv.reader`,
+    which the byte path agrees with cell for cell.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data:
         raise InstanceError(f"{path}: file is empty")
-    if '"' in text or "\0" in text:
+    text = data.decode("utf-8")  # rejects a file that is not UTF-8
+    if b'"' in data or b"\0" in data:
         return _read_csv_rows(path, text, min_cols)
-    # csv.reader ends a record at "\r\n", "\r" or "\n", and skips a blank one.
-    records = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n")
-    head, newline, body = records.partition("\n")
-    if newline and (not body or "\n\n" in body or body[0] == "\n" or body[-1] == "\n"):
-        return _read_csv_rows(path, text, min_cols)
-    header = head.split(",") if head else []
+    # csv.reader ends a record at "\r\n", "\r" or "\n"; the last record gets
+    # one if it has none. The zero bytes after it pad `_code_cells`' words.
+    tail = b"" if data.endswith((b"\n", b"\r")) else b"\n"
+    buf = np.frombuffer(data + tail + bytes(8), dtype=np.uint8)
+    end = buf == ord("\n")
+    cr = buf == ord("\r")
+    end[1:] &= ~cr[:-1]  # "\r\n" ends its record at the "\r"
+    end |= cr
+    seps = np.flatnonzero(end | (buf == ord(",")))
+    ends = np.flatnonzero(end[seps])
+    # The header is the first record; each row after it must hold n_cols
+    # cells, so every n_cols-th separator after the header ends a record.
+    h = int(ends[0])
+    header = data[: seps[h]].decode().split(",") if seps[h] else []
     n_cols = max(min_cols, len(header))
-    n_rows = body.count("\n") + 1 if newline else 0
-    # Each record end becomes a "\0" cell of its own. No other cell can be
-    # "\0", so every record is n_cols wide exactly when the cells number
-    # n_rows * (n_cols + 1) - 1 and every (n_cols + 1)-th one is "\0".
-    stride = n_cols + 1
-    cells = body.replace("\n", ",\0,").split(",") if newline else []
-    if len(cells) != max(n_rows * stride - 1, 0) or set(cells[n_cols::stride]) - {"\0"}:
+    n_rows = ends.size - 1
+    if seps.size - h - 1 != n_rows * n_cols or not end[seps[h + n_cols :: n_cols]].all():
+        return _read_csv_rows(path, text, min_cols)
+    starts = seps[h:-1] + 1
+    # A row's first cell starts after the "\n" of a "\r\n" before it.
+    row_ends = seps[ends[:-1]]
+    starts[::n_cols] += (buf[row_ends] == ord("\r")) & (buf[row_ends + 1] == ord("\n"))
+    widths = seps[h + 1 :] - starts
+    if n_cols == 1 and not widths.all():  # a blank record
         return _read_csv_rows(path, text, min_cols)
     limit = csv.field_size_limit()
-    if _longest_cell(records) > limit:
-        i = [len(c) > limit for c in header + cells].index(True) - len(header)
-        lineno = 1 if i < 0 else i // stride + 2
-        raise InstanceError(
-            f"{path}, line {lineno}: field larger than field limit ({limit})"
-        )
-    columns = tuple(cells[j::stride] for j in range(n_cols))
+    if max(map(len, header), default=0) > limit:
+        raise InstanceError(f"{path}, line 1: field larger than field limit ({limit})")
+    if widths.max(initial=0) > limit:
+        # The limit counts characters: the bytes that do not continue one.
+        chars = np.cumsum((buf & 0xC0) != 0x80)
+        over = np.flatnonzero(chars[seps[h + 1 :] - 1] - chars[starts - 1] > limit)
+        if over.size:
+            raise InstanceError(
+                f"{path}, line {over[0] // n_cols + 2}: "
+                f"field larger than field limit ({limit})"
+            )
+    columns = tuple(
+        _code_cells(buf, starts[j::n_cols], widths[j::n_cols])
+        for j in range(n_cols)
+    )
     rows = _Rows(columns, range(2, n_rows + 2), [n_cols] * n_rows)
     return list(map(str.strip, header)), rows
 
 
-def _longest_cell(records: str) -> int:
-    """The length of the longest cell of unquoted CSV text whose records
-    end at "\n": the longest run between commas and record ends."""
-    ascii = records.isascii()
-    chars = np.frombuffer(
-        records.encode("ascii" if ascii else "utf-32-le"),
-        dtype=np.uint8 if ascii else np.uint32,
-    )
-    ends = np.flatnonzero((chars == ord(",")) | (chars == ord("\n")))
-    return int(np.diff(ends, prepend=-1, append=chars.size).max()) - 1
+def _code_cells(
+    buf: np.ndarray, starts: np.ndarray, widths: np.ndarray
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """`factorize(cells, strip=True)` of the UTF-8 cells
+    ``buf[starts[i]:starts[i] + widths[i]]``, with one Python string per
+    distinct cell only.
+
+    ``buf`` ends in at least 8 zero bytes, and no cell holds a zero byte.
+    Each cell is packed, zero-padded, into ceil(width / 8) 64-bit words, at
+    least one. Equal cells have equal widths, so the cells are coded in
+    groups of one word count, whose keys take about as many bytes as their
+    cells. A group is sorted by its one word, or by a hash of its words; a
+    run is a stretch of sorted cells with equal words, and the runs of all
+    groups are ranked by first appearance. Where hashes collide, equal cells
+    may form several runs; those runs decode to equal strings, which the
+    closing `factorize` merges.
+    """
+    n = starts.size
+    if not n:
+        return (), np.zeros(0, dtype=np.int64)
+    # words[i] is the little-endian word at byte i of buf.
+    words = np.ndarray((buf.size - 7,), np.dtype("<u8"), buf, strides=(1,))
+    n_words = widths + 7
+    n_words >>= 3
+    np.maximum(n_words, 1, out=n_words)
+    sizes = np.bincount(n_words)
+    by_words = np.argsort(n_words, kind="stable")
+    run_of = np.empty(n, dtype=np.int64)  # each cell's run, across groups
+    firsts = []
+    n_runs = 0
+    for group in np.split(by_words, np.cumsum(sizes[sizes > 0])[:-1]):
+        step = 8 * np.arange(n_words[group[0]])
+        keys = words[starts[group][:, None] + step]
+        # Every word but the last is full; the last keeps the cell's bytes.
+        keys[:, -1] &= _LOW_BYTES[widths[group] - step[-1]]
+        order = np.argsort(keys[:, 0] if step.size == 1 else _row_hash(keys))
+        keys = keys[order]
+        run = np.empty(group.size, dtype=bool)
+        run[0] = True
+        np.any(keys[1:] != keys[:-1], axis=1, out=run[1:])
+        members = group[order]
+        ids = np.cumsum(run)
+        ids += n_runs - 1
+        run_of[members] = ids
+        # An unstable sort: a run's first appearance is its smallest position.
+        run_starts = np.flatnonzero(run)
+        firsts.append(np.minimum.reduceat(members, run_starts))
+        n_runs += run_starts.size
+    first = np.concatenate(firsts)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    # Decode each run's first cell, as one text of cells each followed by a
+    # comma.
+    at = first[by_first]
+    size = widths[at] + 1
+    stop = np.cumsum(size)
+    joined = buf[np.arange(stop[-1]) - np.repeat(stop - size - starts[at], size)]
+    joined[stop - 1] = ord(",")
+    cells = joined.tobytes().decode().split(",")[:-1]
+    distinct, merged = factorize(cells, strip=True)
+    return distinct, merged[rank][run_of]
+
+
+def _row_hash(keys: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of ``keys``: the sum over its words of
+    splitmix64's finalizer of the word plus its position times the
+    increment."""
+    z = keys + _GAMMA * np.arange(1, keys.shape[1] + 1, dtype=np.uint64)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z.sum(axis=1, dtype=np.uint64)
 
 
 def _read_csv_rows(path: Path, text: str, min_cols: int) -> tuple[list[str], _Rows]:
@@ -128,7 +228,7 @@ def _read_csv_rows(path: Path, text: str, min_cols: int) -> tuple[list[str], _Ro
             cells += row
     except csv.Error as exc:
         raise InstanceError(f"{path}, line {lineno + 1}: {exc}") from None
-    columns = tuple(cells[j::n_cols] for j in range(n_cols))
+    columns = tuple(factorize(cells[j::n_cols], strip=True) for j in range(n_cols))
     return list(map(str.strip, header)), _Rows(columns, lines, widths)
 
 
@@ -148,10 +248,14 @@ def read_features(path: str | Path) -> tuple[tuple[str, ...], dict[str, np.ndarr
         raise InstanceError(
             f"{path}, line 1: header repeats feature name {repeated[0]!r}"
         )
-    sources = list(map(str.strip, rows.columns[0]))
+    # With no repeated source, the distinct sources are the rows in order.
+    sources = rows.columns[0][0]
     try:
         values = np.array(
-            [list(map(float, map(str.strip, col))) for col in rows.columns[1:]]
+            [
+                np.fromiter(map(float, distinct), float, len(distinct))[codes]
+                for distinct, codes in rows.columns[1:]
+            ]
         )
     except ValueError:
         values = None
@@ -159,7 +263,7 @@ def read_features(path: str | Path) -> tuple[tuple[str, ...], dict[str, np.ndarr
         values is None
         or not np.isfinite(values).all()
         or set(rows.widths) - {len(header)}
-        or len(set(sources)) < len(sources)
+        or len(sources) < len(rows)
     ):
         _raise_feature_row_error(path, header, rows)
     table = np.ascontiguousarray(values.reshape(len(names), len(sources)).T)
@@ -170,8 +274,8 @@ def _raise_feature_row_error(path: Path, header: list[str], rows: _Rows) -> None
     """Raise the error of the first features row that breaks a rule."""
     names = header[1:]
     line_of: dict[str, int] = {}
-    for lineno, width, src, *cells in zip(rows.lines, rows.widths, *rows.columns):
-        src = src.strip()
+    columns = map(rows.cells, range(len(rows.columns)))
+    for lineno, width, src, *cells in zip(rows.lines, rows.widths, *columns):
         if src in line_of:
             raise InstanceError(
                 f"{path}, line {lineno}: duplicate features for source "
@@ -183,7 +287,7 @@ def _raise_feature_row_error(path: Path, header: list[str], rows: _Rows) -> None
                 f"{path}, line {lineno}: expected "
                 f"{len(header)} columns, got {width}"
             )
-        for name, cell in zip(names, map(str.strip, cells)):
+        for name, cell in zip(names, cells):
             try:
                 value = float(cell)
             except ValueError:
@@ -213,9 +317,7 @@ def load_instance(
         raise InstanceError(
             f"{obs_path}: header must be object_id,source_id,value"
         )
-    objects, obs_object = factorize(rows.columns[0], strip=True)
-    sources, obs_source = factorize(rows.columns[1], strip=True)
-    values, obs_value = factorize(rows.columns[2], strip=True)
+    (objects, obs_object), (sources, obs_source), (values, obs_value) = rows.columns[:3]
 
     features = None
     feature_names: tuple[str, ...] = ()
@@ -258,11 +360,12 @@ def _read_truth(path: Path, instance: FusionInstance) -> GroundTruth:
     header, rows = _read_rows(path, 2)
     if header[:2] != ["object_id", "value"]:
         raise InstanceError(f"{path}: header must be object_id,value")
-    names = list(map(str.strip, rows.columns[0]))
-    values = list(map(str.strip, rows.columns[1]))
-    n = len(names)
+    names, name_codes = rows.columns[0]
+    values = rows.cells(1)
+    n = len(rows)
     object_idx = dict(zip(instance.objects, count()))
-    obj = np.fromiter(map(object_idx.get, names, repeat(-1)), np.int64, n)
+    obj = np.fromiter(map(object_idx.get, names, repeat(-1)), np.int64, len(names))
+    obj = obj[name_codes]
     # Compare each row's value with every candidate of its object, laid out
     # row after row; a row naming an unknown object (-1) has no candidates.
     counts = np.append(instance.cand_counts, 0)[obj]
@@ -281,7 +384,7 @@ def _read_truth(path: Path, instance: FusionInstance) -> GroundTruth:
     bad = np.flatnonzero(~reported | repeated)
     if bad.size:
         i = int(bad[0])
-        where, name = f"{path}, line {rows.lines[i]}", names[i]
+        where, name = f"{path}, line {rows.lines[i]}", names[name_codes[i]]
         if obj[i] < 0:
             raise InstanceError(f"{where}: object {name!r} has no observations")
         if not reported[i]:

@@ -424,7 +424,7 @@ def test_11_pairwise_estimator(report):
                                      pair_sampling=True,
                                      true_weights=(0.5, 0.8, 0.9),
                                      feature_density=0.5, seed=seed))
-            state = estimate_pair_state(sim.instance, 0.2, LearnConfig(seed=seed))
+            state = estimate_pair_state(sim.instance, LearnConfig(seed=seed))
             est = np.array([state.accuracies[f"s{s}"] for s in range(50)])
             per_size[n_o] = (state, est, sim.true_accuracies)
         state, est, true_acc = per_size[5000]

@@ -216,7 +216,7 @@ class TestPairEstimator:
         # radicand reaches its ceiling |S| * (|S| - 1)
         sim = generate(SimConfig(n_sources=10, n_objects=2000, pair_sampling=True,
                                  true_weights=(12.0,), feature_density=1.0, seed=2))
-        state = estimate_pair_state(sim.instance, 0.1, LearnConfig(seed=0))
+        state = estimate_pair_state(sim.instance, LearnConfig(seed=0))
         assert state.a_e_hat == pytest.approx(np.sqrt(10 * 9), abs=1e-6)
         for a in state.accuracies.values():
             assert a > 0.95
@@ -229,7 +229,7 @@ class TestPairEstimator:
                                  true_weights=(2.0, 1.0), feature_density=0.5,
                                  seed=4))
         cfg = LearnConfig(seed=0)
-        state = estimate_pair_state(sim.instance, 0.1, cfg)
+        state = estimate_pair_state(sim.instance, cfg)
         feats = sim.instance.features
         acc = 1.0 / (1.0 + np.exp(-(feats @ state.weights)))
         grad = feats.T @ (state.primary_counts * acc - state.a_counts)
@@ -239,7 +239,7 @@ class TestPairEstimator:
     def test_counts_clamped_to_valid_range(self):
         sim = generate(SimConfig(n_sources=8, n_objects=800, pair_sampling=True,
                                  true_weights=(1.5, -0.5), seed=3))
-        state = estimate_pair_state(sim.instance, 0.1, LearnConfig(seed=0))
+        state = estimate_pair_state(sim.instance, LearnConfig(seed=0))
         assert np.all(state.a_counts >= 0.0)
         assert np.all(state.a_counts <= state.primary_counts)
         assert state.n_reduced_objects == 800
@@ -248,7 +248,7 @@ class TestPairEstimator:
         sim = generate(SimConfig(n_sources=40, n_objects=20000, pair_sampling=True,
                                  true_weights=(2.0, 1.0), feature_density=0.5,
                                  seed=4))
-        est = estimate_pair_state(sim.instance, 0.1, LearnConfig(seed=0)).accuracies
+        est = estimate_pair_state(sim.instance, LearnConfig(seed=0)).accuracies
         errs = [abs(est[f"s{s}"] - sim.true_accuracies[s]) for s in range(40)]
         assert np.mean(errs) < 0.1
 
@@ -264,7 +264,7 @@ class TestPairEstimator:
             features=np.ones((4, 1)), feature_names=("f0",),
         )
         try:
-            state = estimate_pair_state(inst, 0.1, LearnConfig(seed=0))
+            state = estimate_pair_state(inst, LearnConfig(seed=0))
         except ValueError as err:
             assert "chance" in str(err)
         else:
@@ -272,13 +272,10 @@ class TestPairEstimator:
             assert state.a_e_hat < 1.5
 
     def test_argument_validation(self):
-        sim = featured_instance()
-        with pytest.raises(ValueError):
-            estimate_pair_state(sim.instance, 0.0, LearnConfig())
         two = generate(SimConfig(n_sources=2, n_objects=10, pair_sampling=True,
                                  true_weights=(1.0,), seed=0))
         with pytest.raises(ValueError):
-            estimate_pair_state(two.instance, 0.1, LearnConfig())
+            estimate_pair_state(two.instance, LearnConfig())
         plain = generate(SimConfig(n_sources=5, n_objects=10, density=0.9, seed=0))
         with pytest.raises(ValueError):
-            estimate_pair_state(plain.instance, 0.1, LearnConfig())
+            estimate_pair_state(plain.instance, LearnConfig())

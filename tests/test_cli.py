@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -288,6 +289,50 @@ class TestLoaderRules:
             assert code == 0 and err == ""
             values = json.loads((tmp_path / "r.json").read_text())["values"]
             assert values["o1"] == "b\0c"
+
+    def test_record_ends_fuse_to_identical_results(self, sim_dir, tmp_path):
+        crlf = (sim_dir / "observations.csv").read_bytes()
+        assert crlf.count(b"\r\n") == crlf.count(b"\n") > 1  # csv.writer's ends
+        results = set()
+        for name, end in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+            obs = tmp_path / f"{name}.csv"
+            obs.write_bytes(crlf.replace(b"\r\n", end))
+            out = tmp_path / f"{name}.json"
+            code = run("fuse", "--observations", obs, "--truth",
+                       sim_dir / "truth.csv", "--algo", "auto", "--out", out)
+            assert code == 0
+            results.add(out.read_bytes())
+        assert len(results) == 1
+
+    def test_one_cell_near_the_field_limit_keeps_memory_near_the_file_size(
+        self, tmp_path
+    ):
+        # The loader codes cells in groups of one 8-byte word count, so one
+        # long value among 3 000 short rows costs about its own bytes once.
+        limit = csv.field_size_limit()
+        long_value = "x" * (limit - 1) + "é"  # limit characters, limit + 1 bytes
+        rows = [f"o{i % 500},s{i // 500},v{i % 3}\n" for i in range(3000)]
+        rows[1700] = f"o200,s3,{long_value}\n"
+        obs = tmp_path / "observations.csv"
+        obs.write_text(self.HEADER + "".join(rows), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            inst, _ = load_instance(obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.n_observations == 3000 and long_value in inst.cand_values
+        assert peak < 64 * obs.stat().st_size
+
+    def test_invalid_utf8_byte_is_one_error_line(self, tmp_path, capsys):
+        obs = tmp_path / "observations.csv"
+        obs.write_bytes(self.HEADER.encode() + b"o0,s0,a\no1,s0,b\xffc\n")
+        code = run("fuse", "--observations", obs, "--algo", "majority",
+                   "--out", tmp_path / "r.json")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: 'utf-8' codec can't decode byte 0xff")
 
     def test_record_ends_and_quoting_read_alike(self, tmp_path):
         rows = [["o0", "s0", "a"], [" o0", "s1 ", " b"], ["o1", "s0", "a"]]

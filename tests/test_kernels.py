@@ -509,11 +509,21 @@ def test_copying_pairs_and_events_equal_loops(domain, seed):
 
 # -- CSV reading and JSON writing ---------------------------------------------
 
+# Cells of 8, 9, 16 and 17+ bytes that share their first 7 bytes: some
+# differ only in the last byte of a 64-bit word of the loader's cell keys,
+# some only in a later word, and some only by surrounding whitespace (an
+# ideographic space is 3 bytes); the wide ones are longer than CSV_LIMIT.
+CSV_WIDE = ("abcdefgh", "abcdefgX", "abcdefghi", " abcdefgh", "abcdefgh\t",
+            "abcdefghijklmnop", "abcdefghijklmnoX", "abcdefghijklmnopq",
+            "abcdefghijklmnopq ", "\u3000abcdefghijklmnopqrstu")
+# Multi-byte UTF-8 cells: the field limit counts characters, so 10 "é" (20
+# bytes) and 11 "😀" (44 bytes) fit CSV_LIMIT and 12 "😀" do not.
+CSV_MULTIBYTE = ("é", "😀", "é" * 10, "😀" * 11, "😀" * 12)
 # Cells that trim to one another, that need quoting (comma, record ends, a
 # quote), that are blank, non-ASCII, NUL, or longer than CSV_LIMIT.
 CSV_CELLS = ("o0", " o0", "o1", "o1 ", "s0", " s0 ", "s1", "a", "a b", "b ", "",
              " ", "é", "東京", "x,y", "p\nq", "r\r\ns", "t\ru", 'q"t', "\0",
-             "a-very-long-cell")
+             "a-very-long-cell", *CSV_WIDE, *CSV_MULTIBYTE)
 CSV_LIMIT = 11  # " object_id " just fits, the long cell does not
 CSV_HEADERS = ("object_id,source_id,value", " object_id , source_id ,value",
                "object_id,source_id,value,note", "object_id,source_id",
@@ -531,9 +541,9 @@ def csv_texts(draw):
         lambda c: '"' + c[0].replace('"', '""') + '"' if c[1] else c[0]
     )
     observation = st.tuples(
-        st.sampled_from(("o0", "o1", " o1", "o2", "o2 ")),
-        st.sampled_from(("s0", "s1", "s2 ", " s1")),
-        st.sampled_from(("a", "b", " a", "c", "a-very-long-cell")),
+        st.sampled_from(("o0", "o1", " o1", "o2", "o2 ", *CSV_WIDE)),
+        st.sampled_from(("s0", "s1", "s2 ", " s1", *CSV_MULTIBYTE)),
+        st.sampled_from(("a", "b", " a", "c", "", "a-very-long-cell", *CSV_WIDE)),
     ).map(",".join)
     header = draw(st.one_of(st.sampled_from(CSV_HEADERS[:3]),
                             st.sampled_from(CSV_HEADERS)))
@@ -544,7 +554,8 @@ def csv_texts(draw):
         row = st.one_of(observation, st.lists(quoted, max_size=5).map(",".join))
     else:
         header = "source_id"
-        row = st.sampled_from(("s0", " s0", "", "é", "a-very-long-cell"))
+        row = st.sampled_from(("s0", " s0", "", "a-very-long-cell", *CSV_WIDE,
+                               *CSV_MULTIBYTE))
     rows = draw(st.lists(row, max_size=12))
     ends = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r")),
                          min_size=len(rows) + 1, max_size=len(rows) + 1))
@@ -561,7 +572,7 @@ def outcome(read, *args):
 
 def read_rows_by_column(path, min_cols):
     header, rows = io._read_rows(path, min_cols)
-    columns = [list(map(str.strip, column)) for column in rows.columns]
+    columns = [rows.cells(j) for j in range(len(rows.columns))]
     return header, columns, list(rows.lines), list(rows.widths)
 
 
@@ -586,6 +597,53 @@ def test_reader_and_loader_match_the_csv_reader_loop(tmp_path_factory, limit, te
         assert outcome(load_observations, path) == outcome(ref_load_observations, path)
     finally:
         csv.field_size_limit(default)
+
+
+def reversing_hash(keys):
+    """A stand-in for the loader's row hash that ignores the words: the sort
+    reverses each group of multi-word cells, so equal cells that are not
+    neighbours form runs of their own, as cells whose hashes collide may."""
+    return np.arange(len(keys), 0, -1, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("row_hash", [io._row_hash, reversing_hash])
+@pytest.mark.parametrize("limit", [CSV_LIMIT, csv.field_size_limit()])
+@settings(max_examples=150, deadline=None)
+@given(text=csv_texts())
+def test_coded_columns_equal_factorize_of_their_cells(
+    tmp_path_factory, limit, row_hash, text
+):
+    path = tmp_path_factory.getbasetemp() / "coded.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    default = csv.field_size_limit(limit)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io, "_row_hash", row_hash)
+            coded = [outcome(io._read_rows, path, min_cols) for min_cols in (1, 2, 3)]
+        for min_cols, result in zip((1, 2, 3), coded):
+            if result[0] == "InstanceError":
+                continue
+            rows = result[1]
+            _, columns, _, _ = ref_read_rows(path, min_cols)
+            assert len(rows.columns) == len(columns)
+            for (distinct, codes), cells in zip(rows.columns, columns):
+                want_distinct, want_codes = factorize(cells, strip=True)
+                assert distinct == want_distinct
+                assert codes.dtype == np.int64
+                assert codes.tolist() == want_codes.tolist()
+    finally:
+        csv.field_size_limit(default)
+
+
+def test_runs_of_equal_cells_share_one_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "_row_hash", reversing_hash)
+    cells = ["abcdefghi", "abcdefghijklmnop", "abcdefghi", "abcdefghi", "é" * 5]
+    path = tmp_path / "features.csv"
+    path.write_text("\n".join(["source_id", *cells, cells[1]]), encoding="utf-8")
+    _, rows = io._read_rows(path, 1)
+    distinct, codes = rows.columns[0]
+    assert distinct == ("abcdefghi", "abcdefghijklmnop", "é" * 5)
+    assert codes.tolist() == [0, 1, 0, 0, 2, 1]
 
 
 def test_factorize_merges_cells_that_trim_alike():

@@ -622,7 +622,7 @@ class TestEveryFitIsProximalFit:
     def test_pair_estimator(self, proximal_fit_calls):
         sim = generate(SimConfig(n_sources=10, n_objects=500, pair_sampling=True,
                                  true_weights=(2.0, 1.0), seed=3))
-        estimate_pair_state(sim.instance, 0.1, LearnConfig())
+        estimate_pair_state(sim.instance, LearnConfig())
         assert len(proximal_fit_calls) == 1
         assert proximal_fit_calls[0][0] > 0
 
