@@ -9,7 +9,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -95,8 +94,6 @@ def _run_optimize(args: argparse.Namespace) -> int:
 
 def _run_lasso_path(args: argparse.Namespace) -> int:
     instance, truth = load_instance(args.observations, args.features, args.truth)
-    if truth is None:
-        raise InstanceError("lasso-path requires a truth file")
     config = learning.LearnConfig(l2_intercept_penalty=args.l2)
     path = analysis.lasso_path(instance, truth, args.grid, config)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -136,8 +133,6 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 def _run_evaluate(args: argparse.Namespace) -> int:
     instance, truth = load_instance(args.observations, args.features, args.truth)
-    if truth is None:
-        raise InstanceError("evaluate requires a truth file")
     fractions = [float(x) for x in args.train_fractions.split(",")]
     obj_idx = {name: i for i, name in enumerate(instance.objects)}
     truth_by_name = {

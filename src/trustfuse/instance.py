@@ -337,6 +337,28 @@ class FusionInstance:
                 raise InstanceError(f"invalid copying pair ({i}, {j})")
         return replace(self, pairs=norm)
 
+    def candidate_index(
+        self, objects: Iterable[int], values: Iterable[str]
+    ) -> np.ndarray:
+        """The flat candidate index of each (object index, value) pair: where
+        the value sits in ``cand_values`` within its object's slice.
+
+        A value that no source reported for its object, or an object index
+        outside ``[0, n_objects)``, gets -2.
+        """
+        bounds = self.cand_offsets.tolist()
+        find = self.cand_values.index
+        n = self.n_objects
+        found = []
+        for o, value in zip(objects, values):
+            # An object out of range searches an empty slice.
+            start, stop = (bounds[o], bounds[o + 1]) if 0 <= o < n else (0, 0)
+            try:
+                found.append(find(value, start, stop))
+            except ValueError:
+                found.append(_UNREPORTED)
+        return np.array(found, dtype=np.int64)
+
     def triples(self) -> list[tuple[int, int, str]]:
         """Observations as (object index, source index, value) triples."""
         values = self.cand_values
@@ -402,15 +424,12 @@ class GroundTruth:
         An unlabelled object gets -1 and a label that no source reported
         gets -2; an object index outside the instance raises.
         """
-        idx = np.full(instance.n_objects, _UNLABELLED, dtype=np.int64)
-        bounds = instance.cand_offsets.tolist()
-        for o, value in self.labels.items():
+        objects = list(self.labels)
+        for o in objects:
             if not (0 <= o < instance.n_objects):
                 raise InstanceError(f"ground-truth object index {o} out of range")
-            try:
-                idx[o] = instance.cand_values.index(value, bounds[o], bounds[o + 1])
-            except ValueError:
-                idx[o] = _UNREPORTED
+        idx = np.full(instance.n_objects, _UNLABELLED, dtype=np.int64)
+        idx[objects] = instance.candidate_index(objects, self.labels.values())
         return idx
 
     def validate(self, instance: FusionInstance) -> np.ndarray:
@@ -431,14 +450,9 @@ class GroundTruth:
 
     def restricted_to_domains(self, instance: FusionInstance) -> "GroundTruth":
         """Drop labels whose value no source reported (closed-world rule)."""
-        bounds = instance.cand_offsets.tolist()
-        values = instance.cand_values
-        kept = {
-            o: v
-            for o, v in self.labels.items()
-            if 0 <= o < instance.n_objects and v in values[bounds[o] : bounds[o + 1]]
-        }
-        return GroundTruth(kept)
+        found = instance.candidate_index(self.labels, self.labels.values())
+        kept = itertools.compress(self.labels.items(), (found >= 0).tolist())
+        return GroundTruth(dict(kept))
 
 
 def correctness_counts(

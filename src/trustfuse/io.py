@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 from dataclasses import dataclass
 from io import StringIO
 from itertools import count, repeat
@@ -66,9 +65,10 @@ def _read_rows(path: Path, min_cols: int) -> tuple[list[str], _Rows]:
     A row with fewer than ``min_cols`` cells, or a cell longer than
     `csv.field_size_limit` characters, raises InstanceError naming the file
     and line. Text without quotes or NUL characters, without blank records
-    after the header, and whose rows all have the same width is coded from
-    its bytes (`_code_cells`); any other text goes through `csv.reader`,
-    which the byte path agrees with cell for cell.
+    after the header, whose rows all have the same width and whose header
+    line and cells are no longer than the limit in bytes is coded from its
+    bytes (`_code_cells`); any other text goes through `csv.reader`, which
+    the byte path agrees with cell for cell.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -102,18 +102,12 @@ def _read_rows(path: Path, min_cols: int) -> tuple[list[str], _Rows]:
     widths = seps[h + 1 :] - starts
     if n_cols == 1 and not widths.all():  # a blank record
         return _read_csv_rows(path, text, min_cols)
+    # csv.reader counts the limit in characters and names the line at fault.
+    # A UTF-8 cell has no more characters than bytes, so every cell kept here
+    # is within the limit.
     limit = csv.field_size_limit()
-    if max(map(len, header), default=0) > limit:
-        raise InstanceError(f"{path}, line 1: field larger than field limit ({limit})")
-    if widths.max(initial=0) > limit:
-        # The limit counts characters: the bytes that do not continue one.
-        chars = np.cumsum((buf & 0xC0) != 0x80)
-        over = np.flatnonzero(chars[seps[h + 1 :] - 1] - chars[starts - 1] > limit)
-        if over.size:
-            raise InstanceError(
-                f"{path}, line {over[0] // n_cols + 2}: "
-                f"field larger than field limit ({limit})"
-            )
+    if seps[h] > limit or widths.max(initial=0) > limit:
+        return _read_csv_rows(path, text, min_cols)
     columns = tuple(
         _code_cells(buf, starts[j::n_cols], widths[j::n_cols])
         for j in range(n_cols)
@@ -362,23 +356,11 @@ def _read_truth(path: Path, instance: FusionInstance) -> GroundTruth:
         raise InstanceError(f"{path}: header must be object_id,value")
     names, name_codes = rows.columns[0]
     values = rows.cells(1)
-    n = len(rows)
     object_idx = dict(zip(instance.objects, count()))
     obj = np.fromiter(map(object_idx.get, names, repeat(-1)), np.int64, len(names))
     obj = obj[name_codes]
-    # Compare each row's value with every candidate of its object, laid out
-    # row after row; a row naming an unknown object (-1) has no candidates.
-    counts = np.append(instance.cand_counts, 0)[obj]
-    row = np.repeat(np.arange(n), counts)
-    row_start = instance.cand_offsets[obj] - np.cumsum(counts) + counts
-    slot = np.arange(row.size) + row_start[row]
-    same = map(
-        operator.eq,
-        map(instance.cand_values.__getitem__, slot.tolist()),
-        map(values.__getitem__, row.tolist()),
-    )
-    reported = np.zeros(n, dtype=bool)
-    reported[row[np.fromiter(same, dtype=bool, count=row.size)]] = True
+    # A row naming an unknown object (-1) matches no candidate.
+    reported = instance.candidate_index(obj.tolist(), values) >= 0
     _, first, inverse = np.unique(obj, return_index=True, return_inverse=True)
     repeated = first[inverse] != np.arange(obj.size)
     bad = np.flatnonzero(~reported | repeated)

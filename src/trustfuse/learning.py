@@ -95,13 +95,6 @@ class _Layout:
             pair_weights=dict(zip(self.pairs, x[self.n_s : self.n_w].tolist())),
         )
 
-    def trust_scores(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """`WeightVector.trust_scores` straight from the flat vector."""
-        sigma = x[: self.n_s]
-        if features.shape[1]:
-            sigma = sigma + features @ x[self.n_w :]
-        return sigma
-
     def smooth_loss_and_grad(
         self, loss: _SigmaLoss, x: np.ndarray, l2: float
     ) -> tuple[float, WeightVector]:
@@ -674,7 +667,7 @@ def fit_em(
             config.max_inner_iters,
             config.objective_tol,
         )
-        sigma = layout.trust_scores(x, instance.features)
+        sigma = layout.unpack(x).trust_scores(instance.features)
         scores = _candidate_scores(instance, sigma, np.empty(0))
         ex, best, norm = _exp_by_object(scores, instance)
         q = np.where(clamped_cand, label_targets, ex / norm[instance.cand_object])

@@ -166,7 +166,7 @@ def load_files(tmp_path, obs, truth=None, features=None):
     paths = {"observations.csv": obs, "truth.csv": truth, "features.csv": features}
     for name, text in paths.items():
         if text is not None:
-            (tmp_path / name).write_text(text)
+            (tmp_path / name).write_text(text, encoding="utf-8")
     optional = [tmp_path / n if paths[n] is not None else None
                 for n in ("features.csv", "truth.csv")]
     return load_instance(tmp_path / "observations.csv", *optional)
@@ -304,6 +304,13 @@ class TestLoaderRules:
             results.add(out.read_bytes())
         assert len(results) == 1
 
+    @staticmethod
+    def long_value_rows(value):
+        """3 000 short observation rows with ``value`` as the value of one."""
+        rows = [f"o{i % 500},s{i // 500},v{i % 3}\n" for i in range(3000)]
+        rows[1700] = f"o200,s3,{value}\n"
+        return "".join(rows)
+
     def test_one_cell_near_the_field_limit_keeps_memory_near_the_file_size(
         self, tmp_path
     ):
@@ -311,10 +318,8 @@ class TestLoaderRules:
         # long value among 3 000 short rows costs about its own bytes once.
         limit = csv.field_size_limit()
         long_value = "x" * (limit - 1) + "é"  # limit characters, limit + 1 bytes
-        rows = [f"o{i % 500},s{i // 500},v{i % 3}\n" for i in range(3000)]
-        rows[1700] = f"o200,s3,{long_value}\n"
         obs = tmp_path / "observations.csv"
-        obs.write_text(self.HEADER + "".join(rows), encoding="utf-8")
+        obs.write_text(self.HEADER + self.long_value_rows(long_value), encoding="utf-8")
         tracemalloc.start()
         try:
             inst, _ = load_instance(obs)
@@ -323,6 +328,55 @@ class TestLoaderRules:
             tracemalloc.stop()
         assert inst.n_observations == 3000 and long_value in inst.cand_values
         assert peak < 64 * obs.stat().st_size
+
+    def test_cell_within_the_limit_in_characters_only_loads_in_file_size_memory(
+        self, tmp_path
+    ):
+        # 70 000 "é" are 140 000 bytes, over the limit in bytes but not in
+        # characters; csv.reader reads such a file without a count per byte.
+        value = "é" * 70_000
+        obs = tmp_path / "observations.csv"
+        obs.write_text(self.HEADER + self.long_value_rows(value), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            inst, _ = load_instance(obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.n_observations == 3000 and value in inst.cand_values
+        assert peak < 24 * obs.stat().st_size
+
+    def test_cell_within_the_limit_in_characters_only_loads_as_when_quoted(
+        self, tmp_path
+    ):
+        text = self.HEADER + self.long_value_rows("é" * 70_000)
+        quoted = "".join(
+            ",".join(f'"{cell}"' for cell in line.split(",")) + "\n"
+            for line in text.splitlines()
+        )
+        assert load_files(tmp_path, text)[0] == load_files(tmp_path, quoted)[0]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_cell_over_the_limit_names_its_line_for_either_record_end(
+        self, tmp_path, end
+    ):
+        limit = csv.field_size_limit()
+        text = self.HEADER + self.long_value_rows("x" * (limit + 1))
+        msg = load_error(tmp_path, text.replace("\n", end))
+        assert msg == ("observations.csv, line 1702: "
+                       f"field larger than field limit ({limit})")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_header_cell_over_the_limit_in_characters_names_line_1(
+        self, tmp_path, end
+    ):
+        limit = csv.field_size_limit()
+        header = "object_id,source_id,value,"
+        msg = load_error(tmp_path, header + "é" * (limit + 1) + end + "o0,s0,a" + end)
+        assert msg == ("observations.csv, line 1: "
+                       f"field larger than field limit ({limit})")
+        inst, _ = load_files(tmp_path, header + "é" * limit + end + "o0,s0,a,b" + end)
+        assert inst.domains == (("a",),)
 
     def test_invalid_utf8_byte_is_one_error_line(self, tmp_path, capsys):
         obs = tmp_path / "observations.csv"

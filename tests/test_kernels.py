@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from trustfuse import (
     FusionInstance,
+    GroundTruth,
     InstanceError,
     add_copying_features,
     em_units,
@@ -419,6 +420,121 @@ def test_from_triples_empty_iterable():
         ref_from_triples(["s0"], ["o0"], iter(()))
     with pytest.raises(InstanceError, match="'o0' has no observations"):
         FusionInstance.from_triples(["s0"], ["o0"], iter(()))
+
+
+# -- closed-world label matching ----------------------------------------------
+
+
+def ref_candidate_index(instance, objects, values):
+    """Each (object, value) pair's flat candidate, found by a scan of every
+    candidate; -2 when the object owns no candidate equal to the value."""
+    found = []
+    for o, value in zip(objects, values):
+        hits = [
+            c for c in range(instance.n_candidates)
+            if instance.cand_object[c] == o and instance.cand_values[c] == value
+        ]
+        found.append(hits[0] if hits else -2)
+    return found
+
+
+@st.composite
+def labelled_instances(draw):
+    """A small instance over the values a, b and c, and truth rows that name
+    objects in and out of range (negative ones too), values reported only
+    for another object, untrimmed variants of reported values, and objects
+    more than once."""
+    n_o, n_s = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    value = st.sampled_from(("a", "b", "c"))
+    # Source 0 observes every object, so no object is without observations.
+    triples = [
+        (o, s, draw(value))
+        for o in range(n_o)
+        for s in range(n_s)
+        if s == 0 or draw(st.booleans())
+    ]
+    instance = FusionInstance.from_triples(
+        [f"s{s}" for s in range(n_s)], [f"o{o}" for o in range(n_o)], triples
+    )
+    rows = draw(st.lists(
+        st.tuples(st.integers(-2, n_o + 1),
+                  st.sampled_from(("a", "b", "c", "d", " a", "b ", " c "))),
+        max_size=8,
+    ))
+    return instance, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=labelled_instances())
+def test_label_matching_agrees_with_the_candidate_loop(tmp_path_factory, case):
+    instance, rows = case
+    objects = [o for o, _ in rows]
+    values = [v for _, v in rows]
+    want = ref_candidate_index(instance, objects, values)
+    got = instance.candidate_index(objects, values)
+    assert got.dtype == np.int64 and got.tolist() == want
+    match = dict(zip(rows, want))
+
+    truth = GroundTruth(dict(rows))
+    outside = [o for o in truth.labels if not 0 <= o < instance.n_objects]
+    if outside:
+        for check in (truth.label_candidates, truth.validate):
+            with pytest.raises(InstanceError) as err:
+                check(instance)
+            assert str(err.value) == (
+                f"ground-truth object index {outside[0]} out of range"
+            )
+    else:
+        idx = np.full(instance.n_objects, -1)
+        for o, v in truth.labels.items():
+            idx[o] = match[o, v]
+        assert truth.label_candidates(instance).tolist() == idx.tolist()
+        if (idx == -2).any():
+            o = int(np.flatnonzero(idx == -2)[0])
+            with pytest.raises(InstanceError) as err:
+                truth.validate(instance)
+            assert str(err.value) == (
+                f"ground-truth value {truth.labels[o]!r} for object "
+                f"'o{o}' was not reported by any source"
+            )
+        else:
+            assert truth.validate(instance).tolist() == idx.tolist()
+    kept = truth.restricted_to_domains(instance).labels
+    assert kept == {o: v for o, v in truth.labels.items() if match[o, v] >= 0}
+
+    # The same rows as a truth file, whose loader trims each cell; the first
+    # row naming an unknown object, an unreported value or a labelled object
+    # is reported.
+    base = tmp_path_factory.getbasetemp()
+    obs, truth_csv = base / "observations.csv", base / "truth.csv"
+    obs.write_text("object_id,source_id,value\n" + "".join(
+        f"o{o},s{s},{v}\n" for o, s, v in instance.triples()
+    ))
+    truth_csv.write_text("object_id,value\n" + "".join(
+        f"o{o},{v}\n" for o, v in rows
+    ))
+    expected, seen = None, set()
+    for line, (o, v) in enumerate(rows, start=2):
+        where = f"{truth_csv}, line {line}"
+        if not 0 <= o < instance.n_objects:
+            expected = f"{where}: object 'o{o}' has no observations"
+        elif ref_candidate_index(instance, [o], [v.strip()])[0] < 0:
+            expected = (f"{where}: value {v.strip()!r} for object 'o{o}' "
+                        "was not reported by any source")
+        elif o in seen:
+            expected = f"{where}: duplicate label for object 'o{o}'"
+        if expected:
+            break
+        seen.add(o)
+    try:
+        loaded, loaded_truth = load_instance(obs, None, truth_csv)
+    except InstanceError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert {loaded.objects[o]: v for o, v in loaded_truth.labels.items()} == {
+            f"o{o}": v.strip() for o, v in rows
+        }
 
 
 
