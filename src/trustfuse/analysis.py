@@ -11,7 +11,7 @@ from .instance import FusionInstance, GroundTruth
 from .learning import (
     LearnConfig,
     _binomial_loss,
-    fit_erm_object,
+    fit_weights,
     object_loss_and_grad,
     one_hot_targets,
     proximal_fit,
@@ -56,10 +56,10 @@ def lasso_path(
         raise ValueError("lasso path requires labeled objects")
     if grid_size < 1:
         raise ValueError("grid size must be at least 1")
+    targets = one_hot_targets(instance, ground_truth)
     # Fit intercepts with feature weights pinned at zero.
     pin = replace(config, l1_feature_penalty=1e12)
-    w0, _ = fit_erm_object(instance, ground_truth, pin)
-    targets = one_hot_targets(instance, ground_truth)
+    w0, _ = fit_weights(instance, targets, pin)
     _, grad = object_loss_and_grad(
         instance, targets, w0, config.l2_intercept_penalty
     )
@@ -78,7 +78,7 @@ def lasso_path(
     w = w0
     for i, lam in enumerate(grid[1:], start=1):
         cfg = replace(config, l1_feature_penalty=float(lam))
-        w, _ = fit_erm_object(instance, ground_truth, cfg, init=w)
+        w, _ = fit_weights(instance, targets, cfg, init=w)
         rows[i] = w.feature_weights
     return LassoPath(
         grid=grid, mu=mu, weights=rows, feature_names=instance.feature_names

@@ -337,6 +337,33 @@ class FusionInstance:
                 raise InstanceError(f"invalid copying pair ({i}, {j})")
         return replace(self, pairs=norm)
 
+    def sub_instance(self, keep: np.ndarray) -> "FusionInstance":
+        """The instance of the objects where the boolean mask ``keep`` is
+        set: their observations, in this instance's observation order, and
+        their candidate slices. Sources, features and copying pairs stay.
+
+        Objects and candidates keep their order, so each kept object's
+        candidates, votes and `cand_vote_term` equal its slice here, and a
+        per-object or per-candidate sum adds the same terms in the same
+        order.
+        """
+        keep = np.asarray(keep, dtype=bool)
+        kept_cand = keep[self.cand_object]
+        obs = np.flatnonzero(keep[self.obs_object])
+        new_object = np.cumsum(keep) - 1
+        new_cand = np.cumsum(kept_cand) - 1
+        objects = np.flatnonzero(keep).tolist()
+        cands = np.flatnonzero(kept_cand).tolist()
+        return replace(
+            self,
+            objects=tuple(map(self.objects.__getitem__, objects)),
+            obs_object=new_object[self.obs_object[obs]],
+            obs_source=self.obs_source[obs],
+            obs_cand=new_cand[self.obs_cand[obs]],
+            cand_values=tuple(map(self.cand_values.__getitem__, cands)),
+            cand_offsets=np.concatenate(([0], np.cumsum(self.cand_counts[keep]))),
+        )
+
     def candidate_index(
         self, objects: Iterable[int], values: Iterable[str]
     ) -> np.ndarray:

@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass
 from io import StringIO
-from itertools import count, repeat
+from itertools import accumulate, count, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -379,23 +379,28 @@ def _read_truth(path: Path, instance: FusionInstance) -> GroundTruth:
 
 
 def write_instance(result: SimResult, out_dir: str | Path) -> dict[str, Path]:
-    """Write a simulated instance as observations/features/truth CSVs."""
+    """Write a simulated instance as observations/features/truth CSVs.
+
+    The files hold what `csv.writer` writes, byte for byte; the
+    observations and truth rows are gathered by column (`_write_rows`).
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     inst = result.instance
     paths: dict[str, Path] = {}
+    objects = _csv_cells(inst.objects)
+    values, cand_value = factorize(inst.cand_values)
 
     obs_path = out / "observations.csv"
-    with open(obs_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["object_id", "source_id", "value"])
-        writer.writerows(
-            zip(
-                map(inst.objects.__getitem__, inst.obs_object.tolist()),
-                map(inst.sources.__getitem__, inst.obs_source.tolist()),
-                map(inst.cand_values.__getitem__, inst.obs_cand.tolist()),
-            )
-        )
+    _write_rows(
+        obs_path,
+        ["object_id", "source_id", "value"],
+        [
+            (objects, inst.obs_object),
+            (_csv_cells(inst.sources), inst.obs_source),
+            (_csv_cells(values), cand_value[inst.obs_cand]),
+        ],
+    )
     paths["observations"] = obs_path
 
     if inst.n_features:
@@ -408,16 +413,82 @@ def write_instance(result: SimResult, out_dir: str | Path) -> dict[str, Path]:
         paths["features"] = feat_path
 
     truth_path = out / "truth.csv"
-    with open(truth_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["object_id", "value"])
-        # Labels whose value no source reported are unloadable under the
-        # closed-world rule, so they are dropped on write.
-        loadable = result.truth.restricted_to_domains(inst)
-        for o in sorted(loadable.labels):
-            writer.writerow([inst.objects[o], loadable.labels[o]])
+    # Labels whose value no source reported are unloadable under the
+    # closed-world rule, so they are dropped on write.
+    labels = result.truth.restricted_to_domains(inst).labels
+    labelled = sorted(labels)
+    values, value_codes = factorize([labels[o] for o in labelled])
+    _write_rows(
+        truth_path,
+        ["object_id", "value"],
+        [
+            (objects, np.array(labelled, dtype=np.int64)),
+            (_csv_cells(values), value_codes),
+        ],
+    )
     paths["truth"] = truth_path
     return paths
+
+
+def _csv_cells(strings: Sequence[str]) -> list[str]:
+    """Each string as `csv.writer` writes it as one cell of a row of two or
+    more cells: quoted only where it must be."""
+    buf = StringIO()
+    writerow = csv.writer(buf).writerow
+    # The row (string, "") is written as the cell, "," and the "\r\n" line
+    # end; writerow returns its length.
+    sizes = [writerow((string, "")) for string in strings]
+    text = buf.getvalue()
+    stops = accumulate(sizes)
+    return [text[stop - size : stop - 3] for size, stop in zip(sizes, stops)]
+
+
+# Rows gathered at a time by `_write_rows`, which bounds its index arrays.
+_ROWS_PER_BLOCK = 1 << 16
+
+
+def _write_rows(
+    path: Path, header: list[str], columns: list[tuple[list[str], np.ndarray]]
+) -> None:
+    """Write the CSV file of ``header`` and the rows whose cell j is
+    ``cells[codes[i]]`` for ``(cells, codes) = columns[j]``, with ``cells``
+    from `_csv_cells`, as `csv.writer` writes it.
+
+    Each column's cells are encoded once, each followed by its separator
+    (the row's "\r\n" after the last column). A block of rows is then the
+    concatenation of those byte strings, gathered from one buffer by array,
+    as `_code_cells` decodes.
+    """
+    pool = []
+    starts = []
+    sizes = []
+    offset = 0
+    for j, (cells, codes) in enumerate(columns):
+        end = "\r\n" if j == len(columns) - 1 else ","
+        text = end.join(cells) + end if cells else ""
+        data = text.encode("utf-8")
+        # In ASCII text a cell has as many bytes as characters.
+        lengths = map(len, cells) if len(data) == len(text) else (
+            len(cell.encode("utf-8")) for cell in cells
+        )
+        size = np.fromiter(lengths, np.int64, len(cells)) + len(end)
+        stop = np.cumsum(size)
+        starts.append((stop - size + offset)[codes])
+        sizes.append(size[codes])
+        offset += len(data)
+        pool.append(data)
+    buf = np.frombuffer(b"".join(pool), dtype=np.uint8)
+    # Row-major: row i's cells are entries k i to k i + k - 1, for k columns.
+    start = np.column_stack(starts).ravel()
+    size = np.column_stack(sizes).ravel()
+    step = _ROWS_PER_BLOCK * len(columns)
+    with open(path, "wb") as fh:
+        fh.write((",".join(_csv_cells(header)) + "\r\n").encode("utf-8"))
+        for lo in range(0, size.size, step):
+            size_block = size[lo : lo + step]
+            stop = np.cumsum(size_block)
+            at = np.repeat(stop - size_block - start[lo : lo + step], size_block)
+            fh.write(buf[np.arange(stop[-1]) - at].tobytes())
 
 
 def round_floats(obj):

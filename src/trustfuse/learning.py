@@ -158,25 +158,50 @@ def _cross_entropy(
     return loss, probs, residual, g_sigma
 
 
+def _labelled_part(
+    instance: FusionInstance, targets: np.ndarray
+) -> tuple[FusionInstance, np.ndarray, np.ndarray]:
+    """The objects with positive target mass, the only ones the object loss
+    sums over: their `FusionInstance.sub_instance`, their targets and their
+    per-object mass.
+
+    ``targets`` must be a flat candidate array of finite, non-negative
+    entries.
+    """
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != (instance.n_candidates,):
+        raise ValueError("targets must be a flat candidate array")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("targets must be finite")
+    if np.any(targets < 0):
+        raise ValueError("targets must be non-negative")
+    obj_weight = np.bincount(
+        instance.cand_object, weights=targets, minlength=instance.n_objects
+    )
+    labelled = obj_weight > 0
+    part = instance.sub_instance(labelled)
+    return part, targets[labelled[instance.cand_object]], obj_weight[labelled]
+
+
 def _object_sigma_loss(
     instance: FusionInstance, targets: np.ndarray, obj_weight: np.ndarray
 ) -> _SigmaLoss:
     """The object loss as a function of the trust scores, for
     `proximal_fit`; with copying pairs, `_object_pair_loss`.
 
-    Its curvature in sigma is the S x S matrix sum_o m_o (diag(p_o) -
-    p_o p_o') pulled back through the vote incidence, with m_o the object's
-    label mass: each ordered pair (i, j) of observations of a labelled
-    object, i = j included, adds m_o p[c_i]([c_i = c_j] - p[c_j]) at
-    (s_i, s_j).
+    Objects with zero mass add nothing, so the fits pass the labelled part
+    (`_labelled_part`), and every array here is as long as its observations,
+    candidates and vote pairs. Its curvature in sigma is the S x S matrix
+    sum_o m_o (diag(p_o) - p_o p_o') pulled back through the vote incidence,
+    with m_o the object's label mass: each ordered pair (i, j) of
+    observations of an object, i = j included, adds
+    m_o p[c_i]([c_i = c_j] - p[c_j]) at (s_i, s_j).
     """
     if instance.pairs:
         return _object_pair_loss(instance, targets, obj_weight)
     n_s = instance.n_sources
     first, second = instance.obs_pairs
-    keep = obj_weight[instance.obs_object[first]] > 0
-    first, second = first[keep], second[keep]
-    own = np.flatnonzero(obj_weight[instance.obs_object] > 0)
+    own = np.arange(instance.n_observations)
     obs_i = np.concatenate([first, second, own])
     obs_j = np.concatenate([second, first, own])
     cand_i, cand_j = instance.obs_cand[obs_i], instance.obs_cand[obs_j]
@@ -206,36 +231,27 @@ def _object_pair_loss(
 
     A pair weight scores -w_p on the agreed candidate of each of its
     `pair_events`; the +w_p it adds to every candidate of the object cancels
-    in the softmax. So the labelled objects' scores are A u up to a
-    per-object shift, with A the incidence of votes (+1) and pair firings
-    (-1) on candidates, and the curvature in u is A'MA, with M the block
-    diagonal of m_o (diag(p_o) - p_o p_o'). Up to S(S-1)/2 pairs make it
-    too large to form, so it is an operator: each product scatters into the
-    labelled candidates, reduces once per object and scatters back.
+    in the softmax. So the scores are A u up to a per-object shift, with A
+    the incidence of votes (+1) and pair firings (-1) on candidates, and the
+    curvature in u is A'MA, with M the block diagonal of
+    m_o (diag(p_o) - p_o p_o'). Up to S(S-1)/2 pairs make it too large to
+    form, so it is an operator: each product scatters into the candidates,
+    reduces once per object and scatters back. As in `_object_sigma_loss`,
+    objects with zero mass add nothing, and the fits pass the labelled part.
     """
     n_s = instance.n_sources
     n_u = n_s + len(instance.pairs)
-    incl_cand = obj_weight[instance.cand_object]
-    ev_obj, ev_cand, ev_pair = instance.pair_events
-    obs = obj_weight[instance.obs_object] > 0
-    ev = obj_weight[ev_obj] > 0
-    # A's entries on labelled objects, with candidates numbered among the
-    # labelled ones.
-    col = np.concatenate([instance.obs_source[obs], n_s + ev_pair[ev]])
-    sign = np.repeat([1.0, -1.0], [np.count_nonzero(obs), np.count_nonzero(ev)])
-    labelled = np.flatnonzero(incl_cand > 0)
-    local = np.cumsum(incl_cand > 0) - 1
-    cand = local[np.concatenate([instance.obs_cand[obs], ev_cand[ev]])]
-    cand_obj = np.unique(instance.cand_object[labelled], return_inverse=True)[1]
-    mass = incl_cand[labelled]
+    mass = obj_weight[instance.cand_object]
+    _, ev_cand, ev_pair = instance.pair_events
+    col = np.concatenate([instance.obs_source, n_s + ev_pair])
+    sign = np.repeat([1.0, -1.0], [instance.n_observations, ev_pair.size])
+    cand = np.concatenate([instance.obs_cand, ev_cand])
+    cand_obj = instance.cand_object
 
     def loss(u: np.ndarray) -> tuple[float, np.ndarray, _CurvatureOperator]:
         scores = _candidate_scores(instance, u[:n_s], u[n_s:])
-        value, probs, residual, g_sigma = _cross_entropy(
-            instance, targets, incl_cand, scores
-        )
+        value, p, residual, g_sigma = _cross_entropy(instance, targets, mass, scores)
         g_pairs = np.bincount(ev_pair, weights=residual[ev_cand], minlength=n_u - n_s)
-        p = probs[labelled]
 
         def matvec(v: np.ndarray) -> np.ndarray:
             y = p * np.bincount(cand, weights=sign * v[col], minlength=p.size)
@@ -265,10 +281,7 @@ def object_loss_and_grad(
     step and is non-smooth at zero.
     """
     layout = _Layout(instance)
-    obj_weight = np.bincount(
-        instance.cand_object, weights=targets, minlength=instance.n_objects
-    )
-    loss = _object_sigma_loss(instance, targets, obj_weight)
+    loss = _object_sigma_loss(*_labelled_part(instance, targets))
     return layout.smooth_loss_and_grad(loss, layout.pack(w), l2)
 
 
@@ -488,23 +501,37 @@ def _lasso_qp(q: np.ndarray, r: np.ndarray, v: np.ndarray, l1: float) -> np.ndar
     """
     if l1 == 0.0:
         return v + np.linalg.lstsq(q, -r, rcond=None)[0]
-    diag = np.diag(q)
-    u = v.copy()
-    grad = r.copy()
+    l1 = float(l1)
+    # Python floats: K is a handful, and each coordinate update is a few
+    # scalar operations, in the order of the array arithmetic they replace
+    # (`_soft_threshold` of one coordinate, then ``grad += q[:, k] * delta``).
+    diag = np.diag(q).tolist()
+    columns = q.T.tolist()
+    u = v.tolist()
+    grad = r.tolist()
+    coords = range(len(u))
     for _ in range(1000):
         largest = 0.0
-        for k in range(u.size):
+        for k in coords:
+            d = diag[k]
             new = 0.0
-            if diag[k] > 0:
-                new = _soft_threshold(diag[k] * u[k] - grad[k], l1) / diag[k]
+            if d > 0:
+                x = d * u[k] - grad[k]
+                m = abs(x) - l1
+                if m < 0.0:
+                    m = 0.0
+                # np.sign(x) * m, with np.sign(+-0.0) = 0.0.
+                new = (m if x > 0.0 else -m if x < 0.0 else 0.0 * m) / d
             delta = new - u[k]
             if delta:
-                grad += q[:, k] * delta
+                column = columns[k]
+                for j in coords:
+                    grad[j] += column[j] * delta
                 u[k] = new
                 largest = max(largest, abs(delta))
-        if largest <= 1e-12 * max(1.0, float(np.max(np.abs(u), initial=0.0))):
+        if largest <= 1e-12 * max(1.0, max(map(abs, u), default=0.0)):
             break
-    return u
+    return np.array(u, dtype=float)
 
 
 def fit_weights(
@@ -517,7 +544,12 @@ def fit_weights(
     copying-pair weights and the lasso path run through it.
 
     ``targets`` is a flat candidate array of per-object label mass (one-hot
-    for labels); objects with zero mass do not contribute.
+    for labels), finite and non-negative, or ValueError is raised. Objects
+    with zero mass do not contribute, so the fit runs on the labelled part
+    of the instance (`_labelled_part`), sliced once: a Newton step costs
+    O(labelled observations + labelled vote pairs) plus one S x S solve
+    (conjugate gradients with copying pairs), whatever the number of
+    unlabelled objects.
 
     The fit is `proximal_fit` on `_object_sigma_loss`. Without copying pairs
     its curvature is a dense S x S matrix. With them the pair weights join
@@ -527,24 +559,19 @@ def fit_weights(
     ``objective_tol`` times the most labelled observations of any source (at
     least 1), reached within ``max_inner_iters`` steps.
     """
-    targets = np.asarray(targets, dtype=float)
-    if targets.shape != (instance.n_candidates,):
-        raise ValueError("targets must be a flat candidate array")
-    obj_weight = np.bincount(
-        instance.cand_object, weights=targets, minlength=instance.n_objects
-    )
-    if not np.any(obj_weight > 0):
+    part, targets, obj_weight = _labelled_part(instance, targets)
+    if not part.n_objects:
         raise ValueError("targets must cover at least one object")
     labelled_obs = np.bincount(
-        instance.obs_source,
-        weights=obj_weight[instance.obs_object],
-        minlength=instance.n_sources,
+        part.obs_source,
+        weights=obj_weight[part.obs_object],
+        minlength=part.n_sources,
     )
     bound = config.objective_tol * max(1.0, float(np.max(labelled_obs)))
     layout = _Layout(instance)
     x, diag = proximal_fit(
         layout.pack(init if init is not None else WeightVector.zeros(instance)),
-        _object_sigma_loss(instance, targets, obj_weight),
+        _object_sigma_loss(part, targets, obj_weight),
         layout.features,
         config.l1_feature_penalty,
         config.l2_intercept_penalty,

@@ -25,10 +25,11 @@ from trustfuse import (
     posterior_all,
 )
 from trustfuse.instance import factorize
-from trustfuse.io import dump_json, round_floats
+from trustfuse.io import dump_json, round_floats, write_instance
+from trustfuse.learning import _lasso_qp, _soft_threshold
 from trustfuse.model import argmax_with_ties, candidate_scores
 from trustfuse.optimizer import agreement_matrix, majority_success_probability
-from trustfuse.simulation import SimConfig, generate
+from trustfuse.simulation import SimConfig, SimResult, generate
 from conftest import random_weights
 
 
@@ -812,3 +813,122 @@ def test_dump_json_matches_indent_encoder_on_random_payloads(tmp_path_factory, p
     path = tmp_path_factory.getbasetemp() / "out.json"
     dump_json(payload, path)
     assert path.read_bytes() == ref_dump_json(payload).encode()
+
+
+# -- writing simulated instances ----------------------------------------------
+
+
+def ref_write_instance(result, out):
+    """The `csv.writer` loops `write_instance` replaced, for observations and
+    truth."""
+    inst = result.instance
+    with open(out / "observations.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["object_id", "source_id", "value"])
+        for o, s, value in inst.triples():
+            writer.writerow([inst.objects[o], inst.sources[s], value])
+    with open(out / "truth.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["object_id", "value"])
+        loadable = result.truth.restricted_to_domains(inst)
+        for o in sorted(loadable.labels):
+            writer.writerow([inst.objects[o], loadable.labels[o]])
+
+
+# Names and values that csv.writer must quote (comma, quote, record ends),
+# blank, padded, non-ASCII or NUL, next to plain ones.
+WRITE_CELLS = ("o0", "a,b", 'q"t', '"', "p\nq", "r\r\ns", "t\ru", "", " ", " x ",
+               "é", "東京", "😀", "\0", "a-very-long-cell" * 4, "s1", "v")
+
+
+@st.composite
+def written_instances(draw):
+    names = st.lists(st.sampled_from(WRITE_CELLS), min_size=1, max_size=6,
+                     unique=True)
+    sources, objects = draw(names), draw(names)
+    triples = []
+    for o in range(len(objects)):
+        observers = draw(st.lists(st.integers(0, len(sources) - 1), min_size=1,
+                                  unique=True))
+        triples += [(o, s, draw(st.sampled_from(WRITE_CELLS))) for s in observers]
+    inst = FusionInstance.from_triples(sources, objects, triples)
+    # Some labels name a value no source reported, which the writer drops.
+    labels = draw(st.dictionaries(st.integers(0, len(objects) - 1),
+                                  st.sampled_from(WRITE_CELLS)))
+    return SimResult(inst, GroundTruth(labels), np.zeros(len(sources)), np.zeros(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(result=written_instances())
+def test_write_instance_matches_the_csv_writer_loop(tmp_path_factory, result):
+    base = tmp_path_factory.mktemp("written")
+    write_instance(result, base / "got")
+    (base / "want").mkdir()
+    ref_write_instance(result, base / "want")
+    for name in ("observations.csv", "truth.csv"):
+        assert (base / "got" / name).read_bytes() == (base / "want" / name).read_bytes()
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 7])
+def test_write_instance_blocks_do_not_change_the_file(tmp_path, monkeypatch,
+                                                       rows_per_block):
+    sim = generate(SimConfig(n_sources=6, n_objects=20, density=0.5, seed=3))
+    ref_write_instance(sim, tmp_path)
+    monkeypatch.setattr(io, "_ROWS_PER_BLOCK", rows_per_block)
+    write_instance(sim, tmp_path / "blocks")
+    for name in ("observations.csv", "truth.csv"):
+        assert (tmp_path / "blocks" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+# -- the lasso subproblem -------------------------------------------------------
+
+
+def ref_lasso_qp(q, r, v, l1):
+    """`_lasso_qp`'s coordinate descent on arrays, which the float loop
+    replaced."""
+    if l1 == 0.0:
+        return v + np.linalg.lstsq(q, -r, rcond=None)[0]
+    diag = np.diag(q)
+    u = v.copy()
+    grad = r.copy()
+    for _ in range(1000):
+        largest = 0.0
+        for k in range(u.size):
+            new = 0.0
+            if diag[k] > 0:
+                new = _soft_threshold(diag[k] * u[k] - grad[k], l1) / diag[k]
+            delta = new - u[k]
+            if delta:
+                grad += q[:, k] * delta
+                u[k] = new
+                largest = max(largest, abs(delta))
+        if largest <= 1e-12 * max(1.0, float(np.max(np.abs(u), initial=0.0))):
+            break
+    return u
+
+
+@st.composite
+def lasso_problems(draw):
+    """A PSD q = A A' of size K <= 6 whose zeroed rows of A give coordinates
+    without curvature, and r, v and l1 >= 0 (often 0, at times below the
+    gradients or exactly on a coordinate's |x|)."""
+    k = draw(st.integers(1, 6))
+    entry = st.floats(-3, 3, allow_subnormal=False)
+    a = np.array(draw(st.lists(entry, min_size=k * k, max_size=k * k))).reshape(k, k)
+    flat = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    a[np.array(flat)] = 0.0
+    vec = st.lists(st.floats(-5, 5, allow_subnormal=False), min_size=k, max_size=k)
+    r, v = np.array(draw(vec)), np.array(draw(vec))
+    l1 = draw(st.one_of(st.just(0.0), st.floats(0, 5), st.sampled_from(np.abs(r).tolist())))
+    return a @ a.T, r, v, l1
+
+
+@settings(max_examples=400, deadline=None)
+@given(problem=lasso_problems())
+def test_lasso_qp_equals_the_array_loop(problem):
+    q, r, v, l1 = problem
+    got = _lasso_qp(q, r.copy(), v.copy(), l1)
+    want = ref_lasso_qp(q, r.copy(), v.copy(), l1)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    # Bit for bit, signed zeros included.
+    assert got.tobytes() == want.tobytes()

@@ -32,6 +32,7 @@ from trustfuse.learning import (
     _Layout,
     _binomial_loss,
     _fit_binomial,
+    _labelled_part,
     _object_sigma_loss,
     _soft_threshold,
     object_loss_and_grad,
@@ -701,6 +702,112 @@ class TestFitWeights:
         # targets covering no object also rejected
         with pytest.raises(ValueError):
             fit_weights(inst, np.zeros(inst.n_candidates), LearnConfig())
+
+    @pytest.mark.parametrize("bad", [-1e-3, -1.0, np.nan, np.inf, -np.inf])
+    def test_negative_or_nonfinite_targets_rejected(self, rng, bad):
+        inst = random_instance(rng, n_features=2)
+        targets = one_hot_targets(inst, GroundTruth({0: inst.domains[0][0]}))
+        # The bad entry sits on another object, so a one-hot object remains.
+        targets[inst.cand_offsets[-2]] = bad
+        w = WeightVector.zeros(inst)
+        with pytest.raises(ValueError):
+            fit_weights(inst, targets, LearnConfig())
+        with pytest.raises(ValueError):
+            object_loss_and_grad(inst, targets, w)
+
+
+class TestLabelledPart:
+    """The object loss covers only the objects with positive target mass:
+    unlabelled objects appended to an instance change no fit."""
+
+    N_LABELLED = 40
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        """An instance of 150 objects and the same instance with 250 more
+        objects, and their observations, appended."""
+        sim = generate(SimConfig(n_sources=20, n_objects=400, density=0.2,
+                                 domain_size=3, true_weights=(1.5, -0.8, 0.6),
+                                 seed=4))
+        full = sim.instance
+        # The first objects and their observations, in full's order, then
+        # the rest: the appended objects observe after every kept one.
+        kept = [t for t in full.triples() if t[0] < 150]
+        rest = [t for t in full.triples() if t[0] >= 150]
+        small = FusionInstance.from_triples(full.sources, full.objects[:150], kept,
+                                            full.features, full.feature_names)
+        big = FusionInstance.from_triples(full.sources, full.objects, kept + rest,
+                                          full.features, full.feature_names)
+        labels = sim.truth.restricted_to_domains(small).labels
+        # Labelled objects spread over the small instance, not a prefix.
+        truth = GroundTruth({o: labels[o] for o in sorted(labels)[1::3][: self.N_LABELLED]})
+        return small, big, truth
+
+    @staticmethod
+    def assert_same_fit(a, b):
+        (wa, da), (wb, db) = a, b
+        assert wa.source_intercepts.tobytes() == wb.source_intercepts.tobytes()
+        assert wa.feature_weights.tobytes() == wb.feature_weights.tobytes()
+        assert wa.pair_weights == wb.pair_weights
+        assert (da.iterations, da.objective, da.converged) == (
+            db.iterations, db.objective, db.converged)
+
+    @pytest.mark.parametrize("l1,l2", [(0.0, 0.01), (0.1, 0.01), (1.0, 0.0)])
+    def test_appended_unlabelled_objects_change_no_fit(self, pair, l1, l2):
+        small, big, truth = pair
+        cfg = LearnConfig(l1_feature_penalty=l1, l2_intercept_penalty=l2)
+        self.assert_same_fit(fit_erm_object(small, truth, cfg),
+                             fit_erm_object(big, truth, cfg))
+        w = random_weights(np.random.default_rng(1), small)
+        got, want = (object_loss_and_grad(inst, one_hot_targets(inst, truth), w, l2)
+                     for inst in (big, small))
+        assert got[0] == want[0]
+        assert _Layout(big).pack(got[1]).tobytes() == _Layout(small).pack(want[1]).tobytes()
+
+    @pytest.mark.parametrize("l1", [0.0, 0.1])
+    def test_appended_unlabelled_objects_change_no_copying_fit(self, pair, l1):
+        small, big, truth = pair
+        small = add_copying_features(small, min_overlap=5)
+        # The same registered pairs: overlaps on the appended objects would
+        # register more.
+        big = big.with_pairs(small.pairs)
+        assert small.pairs
+        cfg = LearnConfig(l1_feature_penalty=l1)
+        self.assert_same_fit(fit_erm_object(small, truth, cfg),
+                             fit_erm_object(big, truth, cfg))
+
+    def test_labelled_part_is_the_labelled_slice(self, pair):
+        _, big, truth = pair
+        big = add_copying_features(big, min_overlap=5)
+        targets = one_hot_targets(big, truth)
+        part, part_targets, mass = _labelled_part(big, targets)
+        keep = np.zeros(big.n_objects, dtype=bool)
+        keep[list(truth.labels)] = True
+        labelled = np.flatnonzero(keep)
+        new_index = {o: i for i, o in enumerate(labelled.tolist())}
+        assert part.objects == tuple(big.objects[o] for o in labelled)
+        assert part.triples() == [(new_index[o], s, v) for o, s, v in big.triples()
+                                  if keep[o]]
+        assert part.domains == tuple(big.domains[o] for o in labelled)
+        in_part = keep[big.cand_object]
+        assert part.cand_vote_term.tobytes() == big.cand_vote_term[in_part].tobytes()
+        assert part_targets.tobytes() == targets[in_part].tobytes()
+        assert mass.tolist() == [1.0] * labelled.size
+        assert part.sources == big.sources and part.pairs == big.pairs
+        assert np.array_equal(part.features, big.features)
+        # The part's vote pairs and pair events are the labelled objects' own,
+        # in the same order.
+        first, second = big.obs_pairs
+        on_labels = keep[big.obs_object[first]]
+        obs = np.flatnonzero(keep[big.obs_object])
+        assert np.array_equal(obs[part.obs_pairs[0]], first[on_labels])
+        assert np.array_equal(obs[part.obs_pairs[1]], second[on_labels])
+        ev_obj, ev_cand, ev_pair = big.pair_events
+        on_labels = keep[ev_obj]
+        assert np.array_equal(labelled[part.pair_events[0]], ev_obj[on_labels])
+        assert np.array_equal(np.flatnonzero(in_part)[part.pair_events[1]],
+                              ev_cand[on_labels])
+        assert np.array_equal(part.pair_events[2], ev_pair[on_labels])
 
 
 class TestFitEm:
