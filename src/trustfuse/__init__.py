@@ -12,9 +12,7 @@ from .model import (
     PosteriorTable,
     WeightVector,
     map_values,
-    posterior,
     posterior_all,
-    source_accuracy,
     source_accuracies,
     trust_score,
 )
@@ -67,10 +65,8 @@ __all__ = [
     "Diagnostics",
     "FusionResult",
     "fuse",
-    "source_accuracy",
     "source_accuracies",
     "trust_score",
-    "posterior",
     "posterior_all",
     "map_values",
     "LearnConfig",

@@ -11,6 +11,7 @@ from .instance import FusionInstance, GroundTruth
 from .learning import (
     LearnConfig,
     _binomial_loss,
+    _labelled_part,
     fit_weights,
     object_loss_and_grad,
     one_hot_targets,
@@ -48,7 +49,8 @@ def lasso_path(
 
     lambda_max is the smallest penalty at which the all-zero feature-weight
     solution is stationary (max absolute feature gradient with intercepts
-    fitted), inflated by 1e-8 to absorb float drift.
+    fitted), inflated by 1e-8 to absorb float drift. Every fit runs on the
+    labelled part of the instance, sliced once.
     """
     if instance.n_features < 1:
         raise ValueError("lasso path requires at least one feature")
@@ -56,13 +58,13 @@ def lasso_path(
         raise ValueError("lasso path requires labeled objects")
     if grid_size < 1:
         raise ValueError("grid size must be at least 1")
-    targets = one_hot_targets(instance, ground_truth)
+    part, targets, _ = _labelled_part(
+        instance, one_hot_targets(instance, ground_truth)
+    )
     # Fit intercepts with feature weights pinned at zero.
     pin = replace(config, l1_feature_penalty=1e12)
-    w0, _ = fit_weights(instance, targets, pin)
-    _, grad = object_loss_and_grad(
-        instance, targets, w0, config.l2_intercept_penalty
-    )
+    w0, _ = fit_weights(part, targets, pin)
+    _, grad = object_loss_and_grad(part, targets, w0, config.l2_intercept_penalty)
     lam_max = float(np.max(np.abs(grad.feature_weights))) * (1.0 + 1e-8)
     if lam_max <= 0.0:
         lam_max = 1e-3
@@ -78,7 +80,7 @@ def lasso_path(
     w = w0
     for i, lam in enumerate(grid[1:], start=1):
         cfg = replace(config, l1_feature_penalty=float(lam))
-        w, _ = fit_weights(instance, targets, cfg, init=w)
+        w, _ = fit_weights(part, targets, cfg, init=w)
         rows[i] = w.feature_weights
     return LassoPath(
         grid=grid, mu=mu, weights=rows, feature_names=instance.feature_names

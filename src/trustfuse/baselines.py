@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .instance import FusionInstance, GroundTruth, label_correctness_counts
-from .model import WeightVector, _argmax_candidates, argmax_with_ties, map_values
+from .model import WeightVector, argmax_with_ties, map_values
 
 __all__ = ["majority_vote", "counts_fit", "counts_infer"]
 
@@ -14,12 +14,6 @@ def majority_vote(instance: FusionInstance, seed: int = 0) -> dict[str, str]:
     """Most frequent observed value per object; ties broken per seed."""
     rng = np.random.default_rng(seed)
     return argmax_with_ties(instance.cand_votes, instance, rng)
-
-
-def _majority_candidates(instance: FusionInstance, seed: int = 0) -> np.ndarray:
-    """`majority_vote` as the flat candidate index picked per object."""
-    rng = np.random.default_rng(seed)
-    return _argmax_candidates(instance.cand_votes, instance, rng)
 
 
 def counts_fit(

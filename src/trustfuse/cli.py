@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -235,7 +236,10 @@ def _run_pair_estimate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    `main` call, so callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="trustfuse",
         description="Resolve conflicting source observations by learning "

@@ -21,12 +21,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .baselines import _majority_candidates
 from .instance import FusionInstance, GroundTruth, label_correctness_counts
 from .model import (
     Diagnostics,
     PosteriorTable,
     WeightVector,
+    _argmax_candidates,
     _candidate_scores,
     _exp_by_object,
     _softmax_by_object,
@@ -58,8 +58,9 @@ class LearnConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.l1_feature_penalty < 0 or self.l2_intercept_penalty < 0:
-            raise ValueError("penalties must be non-negative")
+        penalties = (self.l1_feature_penalty, self.l2_intercept_penalty)
+        if not all(0 <= p < math.inf for p in penalties):
+            raise ValueError("penalties must be non-negative and finite")
         if self.max_outer_iters < 1 or self.max_inner_iters < 0:
             raise ValueError("iteration limits must be positive")
 
@@ -163,7 +164,8 @@ def _labelled_part(
 ) -> tuple[FusionInstance, np.ndarray, np.ndarray]:
     """The objects with positive target mass, the only ones the object loss
     sums over: their `FusionInstance.sub_instance`, their targets and their
-    per-object mass.
+    per-object mass. When every object has mass the part is the instance
+    itself.
 
     ``targets`` must be a flat candidate array of finite, non-negative
     entries.
@@ -179,6 +181,8 @@ def _labelled_part(
         instance.cand_object, weights=targets, minlength=instance.n_objects
     )
     labelled = obj_weight > 0
+    if labelled.all():
+        return instance, targets, obj_weight
     part = instance.sub_instance(labelled)
     return part, targets[labelled[instance.cand_object]], obj_weight[labelled]
 
@@ -668,7 +672,8 @@ def fit_em(
     labelled = label_cand[clamped_obj]
     clamped_cand = clamped_obj[instance.cand_object]
     label_targets = _one_hot(instance, labelled)
-    picks = _majority_candidates(instance, seed=config.seed)
+    rng = np.random.default_rng(config.seed)
+    picks = _argmax_candidates(instance.cand_votes, instance, rng)
     q = _one_hot(instance, np.where(clamped_obj, label_cand, picks))
 
     layout = _Layout(instance)

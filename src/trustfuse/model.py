@@ -21,11 +21,9 @@ __all__ = [
     "WeightVector",
     "PosteriorTable",
     "Diagnostics",
-    "source_accuracy",
     "source_accuracies",
     "trust_score",
     "candidate_scores",
-    "posterior",
     "posterior_all",
     "map_values",
     "argmax_with_ties",
@@ -83,16 +81,8 @@ class PosteriorTable:
     probs: np.ndarray
     offsets: np.ndarray
 
-    @property
-    def n_objects(self) -> int:
-        return int(self.offsets.size - 1)
-
     def row(self, o: int) -> np.ndarray:
         return self.probs[self.offsets[o] : self.offsets[o + 1]]
-
-    def rows(self):
-        for o in range(self.n_objects):
-            yield self.row(o)
 
 
 @dataclass(frozen=True)
@@ -104,16 +94,8 @@ class Diagnostics:
     history: tuple[float, ...] = ()
 
 
-def source_accuracy(w: WeightVector, s: int, features: np.ndarray) -> float:
-    """Estimated accuracy of source ``s``: logistic(w_s + sum_k w_k f_sk)."""
-    eta = w.source_intercepts[s]
-    if w.feature_weights.size:
-        eta = eta + float(features[s] @ w.feature_weights)
-    return float(_logistic(eta))
-
-
 def source_accuracies(w: WeightVector, features: np.ndarray) -> np.ndarray:
-    """Vector of estimated accuracies for all sources."""
+    """Estimated accuracy of every source: logistic(w_s + sum_k w_k f_sk)."""
     return _logistic(w.trust_scores(features))
 
 
@@ -210,13 +192,6 @@ def posterior_all(instance: FusionInstance, w: WeightVector) -> PosteriorTable:
     """Exact posterior over candidates for every object."""
     probs = _softmax_by_object(candidate_scores(instance, w), instance)
     return PosteriorTable(probs=probs, offsets=instance.cand_offsets.copy())
-
-
-def posterior(instance: FusionInstance, w: WeightVector, o: int) -> np.ndarray:
-    """Posterior probability vector for object ``o``, aligned with D_o."""
-    if not (0 <= o < instance.n_objects):
-        raise IndexError(f"object index {o} out of range")
-    return posterior_all(instance, w).row(o).copy()
 
 
 def argmax_with_ties(

@@ -127,9 +127,12 @@ def majority_success_probability(m, domain_size, accuracy: float):
 
 
 def ground_truth_units(instance: FusionInstance, ground_truth: GroundTruth) -> float:
-    """Total observers over labeled objects: m units per labeled object."""
-    counts = instance.obs_counts
-    return float(sum(int(counts[o]) for o in ground_truth.labels))
+    """Total observers over labeled objects: m units per labeled object.
+
+    The labels are checked first (`GroundTruth.validate`).
+    """
+    labelled = ground_truth.validate(instance) >= 0
+    return float(instance.obs_counts[labelled].sum())
 
 
 def decide(
@@ -142,10 +145,12 @@ def decide(
 
     ERM wins outright when sqrt(|K|/|G|) * ln(max(|G|, 2)) <= tau; otherwise
     EM wins iff its estimated units exceed the ground-truth units, so ERM
-    wins when they cannot be estimated. No labels forces EM.
+    wins when they cannot be estimated. No labels forces EM. ``tau`` must be
+    positive and finite, and the labels pass `GroundTruth.validate`.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
+    units_gt = ground_truth_units(instance, ground_truth)
     n_k = instance.n_features if n_features is None else n_features
     n_g = len(ground_truth)
     if n_g > 0:
@@ -162,7 +167,6 @@ def decide(
         avg_acc = None
         units_em = None
 
-    units_gt = ground_truth_units(instance, ground_truth)
     if n_g > 0 and bound <= tau:
         choice = "ERM"
     elif n_g == 0:

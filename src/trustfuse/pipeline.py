@@ -45,8 +45,11 @@ def fuse(
     Every labelled object keeps its label, whatever the algorithm; ties in
     inference are broken with ``config.seed``. Counts accuracies become
     source intercepts through `trust_score`, majority vote gets zero weights.
+
+    The labels are checked once by whichever function reads them (`decide`
+    and the learners); majority vote reads none, so that branch checks them
+    before the clamp indexes objects by label.
     """
-    truth.validate(instance)
     decision = None
     if algo == "auto":
         decision = decide(instance, truth, tau)
@@ -64,6 +67,7 @@ def fuse(
         weights = WeightVector(np.array(intercepts), np.zeros(instance.n_features))
         values = counts_infer(instance, counted, seed=config.seed)
     elif algo == "majority":
+        truth.validate(instance)
         weights = WeightVector.zeros(instance)
         values = majority_vote(instance, seed=config.seed)
     else:

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from trustfuse import (
     add_copying_features,
     estimate_pair_state,
     fit_erm_object,
+    fit_weights,
     lasso_path,
     posterior_all,
     predict_new_source_accuracy,
@@ -65,6 +67,35 @@ class TestLassoPath:
         path = lasso_path(sim.instance, gt, grid_size=1, config=LearnConfig())
         assert path.mu.tolist() == [0.0]
         np.testing.assert_allclose(path.weights[0], 0.0, atol=1e-8)
+
+    def test_slices_the_labelled_part_once_and_fits_as_on_the_instance(
+        self, monkeypatch
+    ):
+        sim = featured_instance(seed=2)
+        inst = sim.instance
+        labels = sim.truth.restricted_to_domains(inst).labels
+        gt = GroundTruth({o: labels[o] for o in sorted(labels)[::4]})
+        cfg = LearnConfig(l2_intercept_penalty=0.05)
+        # The path's fits, warm-started along its grid on the whole instance.
+        targets = one_hot_targets(inst, gt)
+        w, _ = fit_weights(inst, targets, replace(cfg, l1_feature_penalty=1e12))
+        want = [w.feature_weights]
+        for lam in lasso_path(inst, gt, 6, cfg).grid[1:]:
+            w, _ = fit_weights(inst, targets,
+                               replace(cfg, l1_feature_penalty=float(lam)), init=w)
+            want.append(w.feature_weights)
+        slices = []
+        sub_instance = FusionInstance.sub_instance
+
+        def counted(self, keep):
+            slices.append(keep)
+            return sub_instance(self, keep)
+
+        monkeypatch.setattr(FusionInstance, "sub_instance", counted)
+        path = lasso_path(inst, gt, 6, cfg)
+        assert len(slices) == 1
+        assert path.weights[1:].tobytes() == np.array(want[1:]).tobytes()
+        assert not path.weights[0].any() and not want[0].any()
 
     def test_requires_features_and_labels(self):
         plain = generate(SimConfig(n_sources=5, n_objects=20, density=0.5, seed=1))

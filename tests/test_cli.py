@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from trustfuse import (
+    FusionInstance,
     InstanceError,
     WeightVector,
     cli,
@@ -565,6 +566,74 @@ class TestFuseCommand:
             assert a == pytest.approx(1.0 / (1.0 + math.exp(-sigma)), abs=1e-9)
 
 
+class TestLabelPasses:
+    @pytest.mark.parametrize("algo,passes", [
+        ("erm", 2), ("em", 2), ("counts", 2), ("majority", 2), ("auto", 3),
+    ])
+    def test_each_reader_matches_the_labels_once(
+        self, sim_dir, tmp_path, monkeypatch, algo, passes
+    ):
+        # The truth file's reader matches the labels to candidates once, then
+        # each function that reads them checks them once: the learner, or
+        # `decide` and then the learner under auto. Majority vote reads no
+        # labels, so `fuse` checks them before clamping.
+        labels = tmp_path / "labels.csv"
+        rows = (sim_dir / "truth.csv").read_text().splitlines()
+        labels.write_text("\n".join(rows[:11]) + "\n")
+        calls = []
+        candidate_index = FusionInstance.candidate_index
+
+        def counted(self, objects, values):
+            calls.append(algo)
+            return candidate_index(self, objects, values)
+
+        monkeypatch.setattr(FusionInstance, "candidate_index", counted)
+        code = run("fuse", "--observations", sim_dir / "observations.csv",
+                   "--truth", labels, "--algo", algo, "--out", tmp_path / "r.json")
+        assert code == 0
+        assert len(calls) == passes
+
+
+PENALTIES = "error: penalties must be non-negative and finite"
+TAU = "error: tau must be positive and finite"
+
+
+class TestNonFiniteOptions:
+    @pytest.mark.parametrize("command,flags,message", [
+        ("fuse", ("--algo", "erm", "--l1", "nan"), PENALTIES),
+        ("fuse", ("--algo", "erm", "--l1", "inf"), PENALTIES),
+        ("fuse", ("--algo", "erm", "--l2", "nan"), PENALTIES),
+        ("fuse", ("--algo", "em", "--l2", "inf"), PENALTIES),
+        ("fuse", ("--algo", "auto", "--tau", "nan"), TAU),
+        ("optimize", ("--tau", "nan"), TAU),
+        ("optimize", ("--tau", "inf"), TAU),
+        ("lasso-path", ("--l2", "nan"), PENALTIES),
+        ("lasso-path", ("--l2", "inf"), PENALTIES),
+        ("evaluate", ("--l1", "nan", "--train-fractions", "0.2", "--reps", 1),
+         PENALTIES),
+        ("evaluate", ("--l2", "inf", "--train-fractions", "0.2", "--reps", 1),
+         PENALTIES),
+    ])
+    def test_is_one_error_line_and_no_result(
+        self, featured_dir, tmp_path, capfd, command, flags, message
+    ):
+        out = tmp_path / "out"
+        args = [command, *flags,
+                "--observations", featured_dir / "observations.csv",
+                "--features", featured_dir / "features.csv",
+                "--truth", featured_dir / "truth.csv"]
+        if command != "optimize":
+            args += ["--out", out]
+        code = run(*args)
+        # capfd, not capsys: LAPACK writes its complaints to the process's
+        # stderr directly.
+        captured = capfd.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestOptimizeCommand:
     def test_prints_decision(self, sim_dir, capsys):
         code = run("optimize", "--observations", sim_dir / "observations.csv",
@@ -793,6 +862,13 @@ class TestPairEstimateCommand:
         errs = [abs(payload["accuracies"][f"s{s}"] - sim.true_accuracies[s])
                 for s in range(10)]
         assert np.mean(errs) < 0.15
+
+
+def test_main_builds_its_parser_once(sim_dir, capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run("optimize", "--observations", sim_dir / "observations.csv") == 0
+    assert cli.build_parser.cache_info().misses == 1
 
 
 BLOCKED_SCIPY_SESSION = """

@@ -85,6 +85,14 @@ def erm_objective(inst, gt, w, l1, l2):
     return loss + l1 * float(np.sum(np.abs(w.feature_weights)))
 
 
+class TestLearnConfig:
+    @pytest.mark.parametrize("name", ["l1_feature_penalty", "l2_intercept_penalty"])
+    @pytest.mark.parametrize("value", [-0.1, np.nan, np.inf])
+    def test_penalties_must_be_non_negative_and_finite(self, name, value):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            LearnConfig(**{name: value})
+
+
 class TestFitErmObject:
     def test_singleton_domain_has_zero_loss(self):
         inst = FusionInstance.from_triples(["s0"], ["o0"], [(0, 0, "a")])
@@ -775,6 +783,14 @@ class TestLabelledPart:
         cfg = LearnConfig(l1_feature_penalty=l1)
         self.assert_same_fit(fit_erm_object(small, truth, cfg),
                              fit_erm_object(big, truth, cfg))
+
+    def test_fully_labelled_instance_is_its_own_part(self, pair):
+        small, _, _ = pair
+        targets = np.ones(small.n_candidates)
+        part, part_targets, mass = _labelled_part(small, targets)
+        assert part is small
+        assert part_targets is targets
+        assert mass.tobytes() == small.cand_counts.astype(float).tobytes()
 
     def test_labelled_part_is_the_labelled_slice(self, pair):
         _, big, truth = pair

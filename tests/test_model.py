@@ -9,9 +9,8 @@ from trustfuse import (
     FusionInstance,
     WeightVector,
     map_values,
-    posterior,
     posterior_all,
-    source_accuracy,
+    source_accuracies,
     trust_score,
 )
 from conftest import brute_force_posterior, random_instance, random_weights
@@ -41,17 +40,17 @@ class TestSourceAccuracy:
     def test_zero_weights_give_half(self):
         inst = one_object(["a"])
         w = WeightVector(np.zeros(1), np.zeros(0))
-        assert source_accuracy(w, 0, inst.features) == 0.5
+        assert source_accuracies(w, inst.features)[0] == 0.5
 
     def test_log_odds_of_point_seven(self):
         # logit(0.7) = log(7/3); logistic inverts it exactly
         w = WeightVector(np.array([math.log(0.7 / 0.3)]), np.zeros(0))
-        assert source_accuracy(w, 0, np.zeros((1, 0))) == pytest.approx(0.7, abs=1e-15)
+        assert source_accuracies(w, np.zeros((1, 0)))[0] == pytest.approx(0.7, abs=1e-15)
 
     def test_negative_feature_weight_mirrors(self):
         f = np.array([[1.0]])
         w = WeightVector(np.array([0.0]), np.array([-math.log(0.7 / 0.3)]))
-        assert source_accuracy(w, 0, f) == pytest.approx(0.3, abs=1e-15)
+        assert source_accuracies(w, f)[0] == pytest.approx(0.3, abs=1e-15)
 
 
 class TestTrustScore:
@@ -73,32 +72,34 @@ class TestTrustScore:
     @given(st.floats(min_value=1e-9, max_value=1 - 1e-9))
     def test_roundtrip_with_logistic(self, a):
         w = WeightVector(np.array([trust_score(a)]), np.zeros(0))
-        assert source_accuracy(w, 0, np.zeros((1, 0))) == pytest.approx(a, abs=1e-12)
+        assert source_accuracies(w, np.zeros((1, 0)))[0] == pytest.approx(a, abs=1e-12)
 
 
 class TestPosterior:
     def test_singleton_domain(self):
         inst = one_object(["a"])
         w = WeightVector(np.zeros(1), np.zeros(0))
-        assert posterior(inst, w, 0) == pytest.approx([1.0])
+        assert posterior_all(inst, w).row(0) == pytest.approx([1.0])
 
     def test_two_against_one(self):
         inst = one_object(["a", "a", "b"])
         w = WeightVector(np.ones(3), np.zeros(0))
         expected = 1.0 / (1.0 + math.exp(-1.0))
         np.testing.assert_allclose(
-            posterior(inst, w, 0), [expected, 1 - expected], atol=1e-12
+            posterior_all(inst, w).row(0), [expected, 1 - expected], atol=1e-12
         )
 
     def test_symmetric_votes_are_uniform(self):
         inst = one_object(["a", "b"])
         w = WeightVector(np.zeros(2), np.zeros(0))
-        np.testing.assert_allclose(posterior(inst, w, 0), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(
+            posterior_all(inst, w).row(0), [0.5, 0.5], atol=1e-15
+        )
 
     def test_no_overflow_at_extreme_scores(self):
         inst = one_object(["a", "b"])
         w = WeightVector(np.array([700.0, -700.0]), np.zeros(0))
-        p = posterior(inst, w, 0)
+        p = posterior_all(inst, w).row(0)
         assert np.all(np.isfinite(p))
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -116,7 +117,8 @@ class TestPosterior:
         for _ in range(20):
             inst = random_instance(rng, n_features=2)
             w = random_weights(rng, inst)
-            for row in posterior_all(inst, w).rows():
+            table = posterior_all(inst, w)
+            for row in map(table.row, range(inst.n_objects)):
                 assert row.sum() == pytest.approx(1.0, abs=1e-9)
                 assert np.all((row >= 0) & (row <= 1))
 
@@ -128,12 +130,12 @@ class TestPosterior:
         i = int(rows[0])
         s = int(inst.obs_source[i])
         d = int(inst.obs_value_idx[i])
-        before = posterior(inst, w, o)[d]
+        before = posterior_all(inst, w).row(o)[d]
         bumped = WeightVector(
             w.source_intercepts + np.eye(inst.n_sources)[s] * 0.5,
             w.feature_weights,
         )
-        after = posterior(inst, bumped, o)[d]
+        after = posterior_all(inst, bumped).row(o)[d]
         assert after >= before - 1e-12
 
     def test_shift_invariance_of_candidate_scores(self):
@@ -142,11 +144,13 @@ class TestPosterior:
         # source observing a singleton-vote object
         inst = one_object(["a", "b"])
         w1 = WeightVector(np.array([1.0, 2.0]), np.zeros(0))
-        p1 = posterior(inst, w1, 0)
+        p1 = posterior_all(inst, w1).row(0)
         # shifting both candidates by c = 3 is equal to adding 3 to both
         # intercepts here because each source votes for a distinct value
         w2 = WeightVector(np.array([4.0, 5.0]), np.zeros(0))
-        np.testing.assert_allclose(posterior(inst, w2, 0), p1, atol=1e-12)
+        np.testing.assert_allclose(
+            posterior_all(inst, w2).row(0), p1, atol=1e-12
+        )
 
 
 class TestMapValues:

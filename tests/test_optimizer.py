@@ -7,6 +7,7 @@ from scipy import special
 from trustfuse import (
     FusionInstance,
     GroundTruth,
+    InstanceError,
     decide,
     em_units,
     estimate_avg_accuracy,
@@ -169,6 +170,15 @@ class TestMajoritySuccessProbability:
             majority_success_probability(m, domain, 0.7)
 
 
+# Labels on an object before the first, past the last (of three), and with
+# a value that no source reported.
+BAD_LABELS = [
+    pytest.param({-1: "a"}, "index -1 out of range", id="object-minus-one"),
+    pytest.param({3: "a"}, "index 3 out of range", id="past-the-last-object"),
+    pytest.param({0: "zzz"}, "'zzz' for object 'o0' was not reported", id="unreported"),
+]
+
+
 class TestGroundTruthUnits:
     def make(self):
         triples = [(0, s, "a") for s in range(10)]
@@ -190,6 +200,11 @@ class TestGroundTruthUnits:
         assert both == 10.0
         assert both == ground_truth_units(inst, GroundTruth({1: "b"})) + \
             ground_truth_units(inst, GroundTruth({2: "c"}))
+
+    @pytest.mark.parametrize("labels,message", BAD_LABELS)
+    def test_bad_labels_rejected(self, labels, message):
+        with pytest.raises(InstanceError, match=message):
+            ground_truth_units(self.make(), GroundTruth(labels))
 
 
 class TestDecide:
@@ -260,3 +275,15 @@ class TestDecide:
         sim = generate(SimConfig(n_sources=5, n_objects=10, density=0.5, seed=1))
         with pytest.raises(ValueError):
             decide(sim.instance, GroundTruth({}), tau=0.0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_rejects_non_finite_tau(self, tau):
+        sim = generate(SimConfig(n_sources=5, n_objects=10, density=0.5, seed=1))
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            decide(sim.instance, GroundTruth({}), tau=tau)
+
+    @pytest.mark.parametrize("labels,message", BAD_LABELS)
+    def test_bad_labels_rejected(self, labels, message):
+        inst = TestGroundTruthUnits().make()
+        with pytest.raises(InstanceError, match=message):
+            decide(inst, GroundTruth(labels), tau=0.1)
