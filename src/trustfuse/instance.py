@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -64,6 +64,64 @@ def factorize(
             distinct, merged = factorize(trimmed)
             codes = merged[codes]
     return distinct, codes
+
+
+def group_keys(
+    keys: np.ndarray, rank: Callable[[np.ndarray], np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of ``keys``, a 1-D array of keys or a 2-D array
+    of one key per row: each row's group, and each group's first row.
+
+    A row equal to the row before it joins that row's group, so only the
+    heads of such runs are sorted, by ``rank(heads)`` (by default the heads
+    themselves, which must then be 1-D) and with an unstable sort; a group's
+    first row is the smallest of its members. Groups are numbered in sorted
+    order. Equal heads that do not end up next to each other in the sort,
+    because an unequal head of the same rank sits between them, form
+    separate groups.
+    """
+    n = len(keys)
+    if not n:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    if keys.ndim == 1:
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    else:
+        np.any(keys[1:] != keys[:-1], axis=1, out=head[1:])
+    at = np.flatnonzero(head)
+    heads = keys[at]
+    order = np.argsort(heads if rank is None else rank(heads))
+    heads = heads[order]
+    new = np.empty(order.size, dtype=bool)
+    new[0] = True
+    if heads.ndim == 1:
+        np.not_equal(heads[1:], heads[:-1], out=new[1:])
+    else:
+        np.any(heads[1:] != heads[:-1], axis=1, out=new[1:])
+    # Each temporary goes once used: they are as long as the heads or keys.
+    del heads
+    first = np.minimum.reduceat(at[order], np.flatnonzero(new))
+    del at
+    group_of_head = np.empty(order.size, dtype=np.int64)
+    group_of_head[order] = np.cumsum(new) - 1
+    del order, new
+    # Row i belongs to the run of the last head at or before it.
+    run = np.cumsum(head)
+    del head
+    run -= 1
+    return group_of_head[run], first
+
+
+def _first_repeat(keys: np.ndarray) -> tuple[int, int] | None:
+    """The first row of ``keys`` whose key an earlier row holds, as (the
+    key's first row, that row); None if the keys are distinct."""
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return None
+    group, first = group_keys(keys)
+    i = int(np.flatnonzero(first[group] != np.arange(keys.size))[0])
+    return int(first[group[i]]), i
 
 
 @dataclass(frozen=True)
@@ -156,27 +214,20 @@ class FusionInstance:
             bad = np.flatnonzero((idx < 0) | (idx >= n))
             if bad.size:
                 raise InstanceError(f"{name} index {idx[bad[0]]} out of range")
-        _, first, pair = np.unique(
-            obs_o * n_s + obs_s, return_index=True, return_inverse=True
-        )
-        repeats = np.flatnonzero(first[pair] != np.arange(obs_o.size))
-        if repeats.size:
-            i = int(repeats[0])
+        repeat = _first_repeat(obs_o * n_s + obs_s)
+        if repeat:
+            i = repeat[1]
             raise InstanceError(
                 f"duplicate observation for object {objects[obs_o[i]]!r} "
                 f"and source {sources[obs_s[i]]!r}",
-                positions=(int(first[pair[i]]), i),
+                positions=repeat,
             )
         empty = np.flatnonzero(np.bincount(obs_o, minlength=n_o) == 0)
         if empty.size:
             raise InstanceError(f"object {objects[empty[0]]!r} has no observations")
         # Candidates are the distinct (object, value code) keys, ranked by
         # object and then by first appearance.
-        _, first, cand = np.unique(
-            obs_o * max(len(values), 1) + obs_v,
-            return_index=True,
-            return_inverse=True,
-        )
+        cand, first = group_keys(obs_o * max(len(values), 1) + obs_v)
         order = np.lexsort((first, obs_o[first]))
         cand_counts = np.bincount(obs_o[first], minlength=n_o)
 

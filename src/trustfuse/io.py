@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from io import StringIO
 from itertools import accumulate, count, repeat
@@ -13,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .instance import FusionInstance, GroundTruth, InstanceError, factorize
+from .instance import FusionInstance, GroundTruth, InstanceError, factorize, group_keys
 from .simulation import SimResult
 
 __all__ = [
@@ -71,49 +72,69 @@ def _read_rows(path: Path, min_cols: int) -> tuple[list[str], _Rows]:
     the byte path agrees with cell for cell.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not data:
+        # Room for a final record end and the 8 zero bytes that pad
+        # `_code_cells`' words; a file that is not regular (a pipe's size
+        # reads 0) grows the buffer.
+        data = bytearray(os.fstat(fh.fileno()).st_size + 9)
+        size = fh.readinto(data)
+        if size > len(data) - 9:
+            data[size:] = fh.read()
+            size = len(data)
+            data += bytes(9)
+    if not size:
         raise InstanceError(f"{path}: file is empty")
-    text = data.decode("utf-8")  # rejects a file that is not UTF-8
-    if b'"' in data or b"\0" in data:
-        return _read_csv_rows(path, text, min_cols)
+    contents = memoryview(data)[:size]
+    if not data.isascii():
+        str(contents, "utf-8")  # rejects a file that is not UTF-8
+    if data.find(b'"', 0, size) >= 0 or data.find(b"\0", 0, size) >= 0:
+        return _read_csv_rows(path, contents, min_cols)
     # csv.reader ends a record at "\r\n", "\r" or "\n"; the last record gets
-    # one if it has none. The zero bytes after it pad `_code_cells`' words.
-    tail = b"" if data.endswith((b"\n", b"\r")) else b"\n"
-    buf = np.frombuffer(data + tail + bytes(8), dtype=np.uint8)
-    end = buf == ord("\n")
-    cr = buf == ord("\r")
-    end[1:] &= ~cr[:-1]  # "\r\n" ends its record at the "\r"
-    end |= cr
-    seps = np.flatnonzero(end | (buf == ord(",")))
-    ends = np.flatnonzero(end[seps])
+    # one if it has none.
+    if data[size - 1] not in b"\n\r":
+        data[size] = ord("\n")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    seps, at_end = _separators(buf)
     # The header is the first record; each row after it must hold n_cols
     # cells, so every n_cols-th separator after the header ends a record.
-    h = int(ends[0])
+    h = int(at_end.argmax())
     header = data[: seps[h]].decode().split(",") if seps[h] else []
     n_cols = max(min_cols, len(header))
-    n_rows = ends.size - 1
-    if seps.size - h - 1 != n_rows * n_cols or not end[seps[h + n_cols :: n_cols]].all():
-        return _read_csv_rows(path, text, min_cols)
-    starts = seps[h:-1] + 1
-    # A row's first cell starts after the "\n" of a "\r\n" before it.
-    row_ends = seps[ends[:-1]]
-    starts[::n_cols] += (buf[row_ends] == ord("\r")) & (buf[row_ends + 1] == ord("\n"))
-    widths = seps[h + 1 :] - starts
-    if n_cols == 1 and not widths.all():  # a blank record
-        return _read_csv_rows(path, text, min_cols)
+    n_rows = np.count_nonzero(at_end) - 1
+    if seps.size - h - 1 != n_rows * n_cols or not at_end[h + n_cols :: n_cols].all():
+        return _read_csv_rows(path, contents, min_cols)
     # csv.reader counts the limit in characters and names the line at fault.
     # A UTF-8 cell has no more characters than bytes, so every cell kept here
     # is within the limit.
     limit = csv.field_size_limit()
-    if seps[h] > limit or widths.max(initial=0) > limit:
-        return _read_csv_rows(path, text, min_cols)
-    columns = tuple(
-        _code_cells(buf, starts[j::n_cols], widths[j::n_cols])
-        for j in range(n_cols)
-    )
-    rows = _Rows(columns, range(2, n_rows + 2), [n_cols] * n_rows)
+    if seps[h] > limit:
+        return _read_csv_rows(path, contents, min_cols)
+    columns = []
+    for j in range(n_cols):
+        # Cell j of each row starts after the separator before it; a row's
+        # first cell, after the "\n" of a "\r\n" before it.
+        starts = seps[h + j : -1 : n_cols] + 1
+        if not j:
+            starts += (buf[starts - 1] == ord("\r")) & (buf[starts] == ord("\n"))
+        widths = seps[h + j + 1 :: n_cols] - starts
+        blank = n_cols == 1 and not widths.all()  # a blank record
+        if blank or widths.max(initial=0) > limit:
+            return _read_csv_rows(path, contents, min_cols)
+        columns.append(_code_cells(buf, starts, widths))
+    rows = _Rows(tuple(columns), range(2, n_rows + 2), [n_cols] * n_rows)
     return list(map(str.strip, header)), rows
+
+
+def _separators(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in ``buf`` of every comma and record end, and whether
+    each ends a record: a "\n", a "\r", or the "\r" of a "\r\n"."""
+    end = buf == ord("\n")
+    cr = buf == ord("\r")
+    np.greater(end[1:], cr[:-1], out=end[1:])
+    end |= cr
+    sep = np.equal(buf, ord(","), out=cr)
+    sep |= end
+    seps = np.flatnonzero(sep)
+    return seps, end[seps]
 
 
 def _code_cells(
@@ -127,11 +148,11 @@ def _code_cells(
     Each cell is packed, zero-padded, into ceil(width / 8) 64-bit words, at
     least one. Equal cells have equal widths, so the cells are coded in
     groups of one word count, whose keys take about as many bytes as their
-    cells. A group is sorted by its one word, or by a hash of its words; a
-    run is a stretch of sorted cells with equal words, and the runs of all
-    groups are ranked by first appearance. Where hashes collide, equal cells
-    may form several runs; those runs decode to equal strings, which the
-    closing `factorize` merges.
+    cells. `group_keys` groups the cells of one word count, sorting only the
+    heads of runs of equal cells, by their one word or by a hash of their
+    words; the groups of all word counts are ranked by first appearance.
+    Where hashes collide, equal cells may form several groups; those decode
+    to equal strings, which the closing `factorize` merges.
     """
     n = starts.size
     if not n:
@@ -143,27 +164,26 @@ def _code_cells(
     np.maximum(n_words, 1, out=n_words)
     sizes = np.bincount(n_words)
     by_words = np.argsort(n_words, kind="stable")
+    del n_words  # each array here is as long as the column
+    counts = np.flatnonzero(sizes)
     run_of = np.empty(n, dtype=np.int64)  # each cell's run, across groups
     firsts = []
     n_runs = 0
-    for group in np.split(by_words, np.cumsum(sizes[sizes > 0])[:-1]):
-        step = 8 * np.arange(n_words[group[0]])
+    for k, group in zip(counts, np.split(by_words, np.cumsum(sizes[counts])[:-1])):
+        step = 8 * np.arange(k)
         keys = words[starts[group][:, None] + step]
         # Every word but the last is full; the last keeps the cell's bytes.
         keys[:, -1] &= _LOW_BYTES[widths[group] - step[-1]]
-        order = np.argsort(keys[:, 0] if step.size == 1 else _row_hash(keys))
-        keys = keys[order]
-        run = np.empty(group.size, dtype=bool)
-        run[0] = True
-        np.any(keys[1:] != keys[:-1], axis=1, out=run[1:])
-        members = group[order]
-        ids = np.cumsum(run)
-        ids += n_runs - 1
-        run_of[members] = ids
-        # An unstable sort: a run's first appearance is its smallest position.
-        run_starts = np.flatnonzero(run)
-        firsts.append(np.minimum.reduceat(members, run_starts))
-        n_runs += run_starts.size
+        # The group keeps file order, so a cell equal to the one before it
+        # joins its run and only the run heads are sorted.
+        if step.size == 1:
+            ids, first = group_keys(keys[:, 0])
+        else:
+            ids, first = group_keys(keys, _row_hash)
+        ids += n_runs
+        run_of[group] = ids
+        firsts.append(group[first])
+        n_runs += first.size
     first = np.concatenate(firsts)
     by_first = np.argsort(first)
     rank = np.empty_like(by_first)
@@ -193,10 +213,12 @@ def _row_hash(keys: np.ndarray) -> np.ndarray:
     return z.sum(axis=1, dtype=np.uint64)
 
 
-def _read_csv_rows(path: Path, text: str, min_cols: int) -> tuple[list[str], _Rows]:
-    """`_read_rows` through `csv.reader`: quoted cells, NUL characters,
-    blank records and rows of differing widths."""
-    reader = csv.reader(StringIO(text, newline=""))
+def _read_csv_rows(
+    path: Path, data: memoryview, min_cols: int
+) -> tuple[list[str], _Rows]:
+    """`_read_rows` through `csv.reader` of the UTF-8 bytes ``data``: quoted
+    cells, NUL characters, blank records and rows of differing widths."""
+    reader = csv.reader(StringIO(str(data, "utf-8"), newline=""))
     lineno = 0
     cells: list[str] = []
     lines: list[int] = []
@@ -361,8 +383,8 @@ def _read_truth(path: Path, instance: FusionInstance) -> GroundTruth:
     obj = obj[name_codes]
     # A row naming an unknown object (-1) matches no candidate.
     reported = instance.candidate_index(obj.tolist(), values) >= 0
-    _, first, inverse = np.unique(obj, return_index=True, return_inverse=True)
-    repeated = first[inverse] != np.arange(obj.size)
+    label, first = group_keys(obj)
+    repeated = first[label] != np.arange(obj.size)
     bad = np.flatnonzero(~reported | repeated)
     if bad.size:
         i = int(bad[0])

@@ -135,6 +135,12 @@ def ground_truth_units(instance: FusionInstance, ground_truth: GroundTruth) -> f
     return float(instance.obs_counts[labelled].sum())
 
 
+def check_tau(tau: float) -> None:
+    """Reject a selector threshold ``tau`` that is not positive and finite."""
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
+
+
 def decide(
     instance: FusionInstance,
     ground_truth: GroundTruth,
@@ -148,8 +154,7 @@ def decide(
     wins when they cannot be estimated. No labels forces EM. ``tau`` must be
     positive and finite, and the labels pass `GroundTruth.validate`.
     """
-    if not 0 < tau < math.inf:
-        raise ValueError("tau must be positive and finite")
+    check_tau(tau)
     units_gt = ground_truth_units(instance, ground_truth)
     n_k = instance.n_features if n_features is None else n_features
     n_g = len(ground_truth)

@@ -16,7 +16,7 @@ from .model import (
     source_accuracies,
     trust_score,
 )
-from .optimizer import OptimizerDecision, decide
+from .optimizer import OptimizerDecision, check_tau, decide
 
 __all__ = ["FusionResult", "fuse"]
 
@@ -48,8 +48,10 @@ def fuse(
 
     The labels are checked once by whichever function reads them (`decide`
     and the learners); majority vote reads none, so that branch checks them
-    before the clamp indexes objects by label.
+    before the clamp indexes objects by label. ``tau`` must be positive and
+    finite under every algorithm, not only under "auto", which reads it.
     """
+    check_tau(tau)
     decision = None
     if algo == "auto":
         decision = decide(instance, truth, tau)

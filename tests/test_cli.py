@@ -347,6 +347,24 @@ class TestLoaderRules:
         assert inst.n_observations == 3000 and value in inst.cand_values
         assert peak < 24 * obs.stat().st_size
 
+    def test_many_short_cells_load_in_under_ten_times_the_file_size(self, tmp_path):
+        # 200 000 rows as the simulator writes them: 20 000 objects seen by
+        # 10 of 500 sources each, two values and "\r\n" record ends.
+        rng = np.random.default_rng(0)
+        values = rng.integers(0, 2, 200_000).tolist()
+        rows = [f"o{i // 10},s{(i // 10 * 7 + i % 10 * 50) % 500},v{v}\r\n"
+                for i, v in enumerate(values)]
+        obs = tmp_path / "observations.csv"
+        obs.write_text(self.HEADER.replace("\n", "\r\n") + "".join(rows), newline="")
+        tracemalloc.start()
+        try:
+            inst, _ = load_instance(obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.n_observations == 200_000 and inst.n_objects == 20_000
+        assert peak < 10 * obs.stat().st_size
+
     def test_cell_within_the_limit_in_characters_only_loads_as_when_quoted(
         self, tmp_path
     ):
@@ -404,6 +422,20 @@ class TestLoaderRules:
                     assert inst.objects == expected.objects
                     assert inst.domains == expected.domains
                     assert np.array_equal(inst.obs_cand, expected.obs_cand)
+
+    @pytest.mark.parametrize("change", [None, 1, 9, 30, -100])
+    def test_file_whose_size_reads_wrong_loads_in_full(self, tmp_path, monkeypatch,
+                                                       change):
+        # A pipe's size reads 0, and a file can grow or shrink after its size
+        # is read: the loader reads to the end of the file either way.
+        text = self.HEADER + "o0,s0,a\no0,s1,b\no1,s0,c"
+        expected, _ = load_files(tmp_path, text)
+        size = 0 if change is None else len(text) - change
+        stat = os.stat_result((0,) * 6 + (size,) + (0,) * 3)
+        monkeypatch.setattr(io.os, "fstat", lambda fd: stat)
+        inst, _ = load_files(tmp_path, text)
+        assert inst.domains == expected.domains == (("a", "b"), ("c",))
+        assert np.array_equal(inst.obs_cand, expected.obs_cand)
 
     def test_read_rows_counts_non_empty_data_rows(self, tmp_path):
         # perfbench's tracer counts `io.rows_read` as len(rows) of this call.
@@ -630,6 +662,23 @@ class TestNonFiniteOptions:
         captured = capfd.readouterr()
         assert code == 1
         assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("algo", ["erm", "em", "counts", "majority"])
+    def test_tau_is_checked_under_every_algorithm(
+        self, featured_dir, tmp_path, capfd, algo, tau
+    ):
+        # Only auto reads tau, but a bad one is an input error under any.
+        out = tmp_path / "out"
+        code = run("fuse", "--algo", algo, "--tau", tau,
+                   "--observations", featured_dir / "observations.csv",
+                   "--features", featured_dir / "features.csv",
+                   "--truth", featured_dir / "truth.csv", "--out", out)
+        captured = capfd.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [TAU]
         assert captured.out == ""
         assert not out.exists()
 

@@ -74,6 +74,50 @@ def ref_from_triples(sources, objects, triples):
     )
 
 
+def ref_from_columns(sources, objects, obs_object, obs_source, values, obs_value):
+    """The `np.unique` build `FusionInstance.from_columns` replaced, without
+    features: returns (obs_object, obs_source, obs_cand, cand_values,
+    cand_offsets), or raises its InstanceError with the same positions."""
+    n_s, n_o = len(sources), len(objects)
+    obs_o = np.asarray(obs_object, dtype=np.int64)
+    obs_s = np.asarray(obs_source, dtype=np.int64)
+    obs_v = np.asarray(obs_value, dtype=np.int64)
+    for name, idx, n in (
+        ("object", obs_o, n_o),
+        ("source", obs_s, n_s),
+        ("value", obs_v, len(values)),
+    ):
+        bad = np.flatnonzero((idx < 0) | (idx >= n))
+        if bad.size:
+            raise InstanceError(f"{name} index {idx[bad[0]]} out of range")
+    _, first, pair = np.unique(
+        obs_o * n_s + obs_s, return_index=True, return_inverse=True
+    )
+    repeats = np.flatnonzero(first[pair] != np.arange(obs_o.size))
+    if repeats.size:
+        i = int(repeats[0])
+        raise InstanceError(
+            f"duplicate observation for object {objects[obs_o[i]]!r} "
+            f"and source {sources[obs_s[i]]!r}",
+            positions=(int(first[pair[i]]), i),
+        )
+    empty = np.flatnonzero(np.bincount(obs_o, minlength=n_o) == 0)
+    if empty.size:
+        raise InstanceError(f"object {objects[empty[0]]!r} has no observations")
+    _, first, cand = np.unique(
+        obs_o * max(len(values), 1) + obs_v, return_index=True, return_inverse=True
+    )
+    order = np.lexsort((first, obs_o[first]))
+    cand_counts = np.bincount(obs_o[first], minlength=n_o)
+    return (
+        obs_o,
+        obs_s,
+        np.argsort(order)[cand],
+        tuple(values[v] for v in obs_v[first[order]].tolist()),
+        np.concatenate(([0], np.cumsum(cand_counts))),
+    )
+
+
 def ref_read_rows(path, min_cols):
     """The per-row `csv.reader` loop `io._read_rows` replaced, plus the
     conversion of `csv.Error` into a located InstanceError: returns (header,
@@ -423,6 +467,72 @@ def test_from_triples_empty_iterable():
         FusionInstance.from_triples(["s0"], ["o0"], iter(()))
 
 
+@st.composite
+def observation_columns(draw):
+    """Columns for `from_columns`: each object seen by distinct sources, its
+    rows shuffled, sorted into long runs of one (object, value) key, or
+    dealt round-robin across objects, so that equal keys are rarely
+    neighbours; sometimes with repeated (object, source) rows, or an object
+    or value that no row uses."""
+    n_s = draw(st.integers(1, 12))
+    n_o = draw(st.integers(0, 8))
+    n_v = draw(st.integers(1, 4))
+    rows = []
+    for o in range(n_o):
+        seen_by = draw(st.lists(st.integers(0, n_s - 1), min_size=1, unique=True))
+        for rank, s in enumerate(seen_by):
+            rows.append((rank, o, s, draw(st.integers(0, n_v - 1))))
+    layout = draw(st.sampled_from(("shuffled", "runs", "round-robin")))
+    if layout == "shuffled":
+        rows = draw(st.permutations(rows))
+    elif layout == "runs":
+        rows.sort(key=lambda r: (r[1], r[3]))
+    else:
+        rows.sort()
+    rows = [r[1:] for r in rows]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        o, s, _ = rows[draw(st.integers(0, len(rows) - 1))]
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, (o, s, draw(st.integers(0, n_v - 1))))
+    n_o += draw(st.integers(0, 1))
+    columns = [np.array(c, dtype=np.int64) for c in zip(*rows)] or [
+        np.zeros(0, dtype=np.int64)
+    ] * 3
+    sources = tuple(f"s{s}" for s in range(n_s))
+    objects = tuple(f"o{o}" for o in range(n_o))
+    values = tuple(f"v{v}" for v in range(n_v))
+    return sources, objects, columns[0], columns[1], values, columns[2]
+
+
+def build_outcome(build, sources, objects, obs_o, obs_s, values, obs_v):
+    try:
+        return build(sources, objects, obs_o, obs_s, values, obs_v)
+    except InstanceError as exc:
+        return "InstanceError", str(exc), exc.positions
+
+
+def from_columns_arrays(*columns):
+    inst = FusionInstance.from_columns(*columns)
+    return (inst.obs_object, inst.obs_source, inst.obs_cand, inst.cand_values,
+            inst.cand_offsets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=observation_columns())
+def test_from_columns_matches_the_unique_build(columns):
+    got = build_outcome(from_columns_arrays, *columns)
+    want = build_outcome(ref_from_columns, *columns)
+    if isinstance(want[0], str):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, tuple):
+            assert g == w
+        else:
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 # -- closed-world label matching ----------------------------------------------
 
 
@@ -761,6 +871,33 @@ def test_runs_of_equal_cells_share_one_code(tmp_path, monkeypatch):
     distinct, codes = rows.columns[0]
     assert distinct == ("abcdefghi", "abcdefghijklmnop", "é" * 5)
     assert codes.tolist() == [0, 1, 0, 0, 2, 1]
+
+
+@pytest.mark.parametrize("row_hash", [io._row_hash, reversing_hash])
+def test_runs_of_equal_multi_word_cells_share_one_code(tmp_path, monkeypatch,
+                                                        row_hash):
+    monkeypatch.setattr(io, "_row_hash", row_hash)
+    # Two words each: runs of one cell, a run broken by a padded copy, and
+    # equal cells that come back after another cell's run.
+    long, other = "abcdefghijk", "é" * 6
+    cells = [long, long, long, other, other, long, " " + long, long, other, other]
+    path = tmp_path / "features.csv"
+    path.write_text("\n".join(["source_id", *cells]), encoding="utf-8")
+    _, rows = io._read_rows(path, 1)
+    distinct, codes = rows.columns[0]
+    assert distinct == (long, other)
+    assert codes.tolist() == [0, 0, 0, 1, 1, 0, 0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("cell", ["x", "abcdefgh", "abcdefghijklmnopq"])
+def test_a_column_of_one_run_is_one_code(tmp_path, cell):
+    path = tmp_path / "observations.csv"
+    rows = "".join(f"o{i % 7},s{i},{cell}\r\n" for i in range(50))
+    path.write_text("object_id,source_id,value\r\n" + rows, newline="")
+    _, rows = io._read_rows(path, 3)
+    distinct, codes = rows.columns[2]
+    assert distinct == (cell,)
+    assert codes.dtype == np.int64 and codes.tolist() == [0] * 50
 
 
 def test_factorize_merges_cells_that_trim_alike():
