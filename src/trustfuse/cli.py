@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -55,11 +56,7 @@ def _decision_json(d: optimizer.OptimizerDecision) -> dict:
 
 def _run_fuse(args: argparse.Namespace) -> int:
     instance, truth = load_instance(args.observations, args.features, args.truth)
-    config = learning.LearnConfig(
-        l1_feature_penalty=args.l1,
-        l2_intercept_penalty=args.l2,
-        seed=args.seed,
-    )
+    config = _learn_config(args)
     result = fuse(instance, truth or GroundTruth(), args.algo, config, args.tau)
     diagnostics = result.diagnostics
     payload = {
@@ -95,8 +92,7 @@ def _run_optimize(args: argparse.Namespace) -> int:
 
 def _run_lasso_path(args: argparse.Namespace) -> int:
     instance, truth = load_instance(args.observations, args.features, args.truth)
-    config = learning.LearnConfig(l2_intercept_penalty=args.l2)
-    path = analysis.lasso_path(instance, truth, args.grid, config)
+    path = analysis.lasso_path(instance, truth, args.grid, _learn_config(args))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda", "mu", *path.feature_names])
@@ -112,27 +108,20 @@ def _run_lasso_path(args: argparse.Namespace) -> int:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
-    true_weights = None
-    if args.feature_model:
-        true_weights = tuple(float(x) for x in args.feature_model.split(","))
-    config = simulation.SimConfig(
-        n_sources=args.sources,
-        n_objects=args.objects,
-        density=args.density,
-        pair_sampling=args.pair_sampling,
-        domain_size=args.domain,
-        accuracy_mean=args.acc_mean,
-        accuracy_spread=args.acc_spread,
-        true_weights=true_weights,
-        feature_density=args.feature_density,
-        seed=args.seed,
-    )
-    result = simulation.generate(config)
+    fields = dataclasses.fields(simulation.SimConfig)
+    given = {f.name: getattr(args, f.name) for f in fields}
+    # --feature-model is parsed here rather than by argparse, so that a bad
+    # weight is an input error (exit 1) like any other bad setting.
+    weights = args.true_weights
+    given["true_weights"] = tuple(map(float, weights.split(","))) if weights else None
+    result = simulation.generate(simulation.SimConfig(**given))
     write_instance(result, args.out_dir)
     return EXIT_OK
 
 
 def _run_evaluate(args: argparse.Namespace) -> int:
+    if args.reps < 1:
+        raise ValueError(f"reps must be at least 1, got {args.reps}")
     instance, truth = load_instance(args.observations, args.features, args.truth)
     fractions = [float(x) for x in args.train_fractions.split(",")]
     obj_idx = {name: i for i, name in enumerate(instance.objects)}
@@ -144,13 +133,10 @@ def _run_evaluate(args: argparse.Namespace) -> int:
     rows = []
     for fi, fraction in enumerate(fractions):
         for rep in range(args.reps):
-            seed = args.seed + 1000 * fi + rep
-            train, test = evaluation.make_split(labeled, fraction, seed)
+            config = _learn_config(args, seed=args.seed + 1000 * fi + rep)
+            train, test = evaluation.make_split(labeled, fraction, config.seed)
             train_gt = GroundTruth(
                 {obj_idx[name]: truth_by_name[name] for name in train}
-            )
-            config = learning.LearnConfig(
-                l1_feature_penalty=args.l1, l2_intercept_penalty=args.l2, seed=seed
             )
             for algo in ("erm", "em", "counts", "majority"):
                 t0 = time.perf_counter()
@@ -166,7 +152,7 @@ def _run_evaluate(args: argparse.Namespace) -> int:
                 rows.append(
                     {
                         "config": {"train_fraction": fraction, "rep": rep},
-                        "seed": seed,
+                        "seed": config.seed,
                         "algorithm": algo,
                         "object_accuracy": evaluation.object_accuracy(
                             result.values, truth_by_name, test
@@ -223,8 +209,7 @@ def _run_predict_sources(args: argparse.Namespace) -> int:
 
 def _run_pair_estimate(args: argparse.Namespace) -> int:
     instance, _ = load_instance(args.observations, args.features)
-    config = learning.LearnConfig(seed=args.seed)
-    state = analysis.estimate_pair_state(instance, config)
+    state = analysis.estimate_pair_state(instance, _learn_config(args))
     dump_json(
         {
             "a_e_hat": state.a_e_hat,
@@ -234,6 +219,35 @@ def _run_pair_estimate(args: argparse.Namespace) -> int:
         args.out,
     )
     return EXIT_OK
+
+
+_LEARN_DEFAULTS = learning.LearnConfig()
+
+# The options that several commands take, each declared once.
+_SHARED_OPTIONS = {
+    "--observations": {},
+    "--features": {},
+    "--truth": {},
+    "--out": {},
+    "--tau": {"type": float, "default": optimizer.DEFAULT_TAU},
+    "--l1": {"type": float, "default": _LEARN_DEFAULTS.l1_feature_penalty},
+    "--l2": {"type": float, "default": _LEARN_DEFAULTS.l2_intercept_penalty},
+    "--seed": {"type": int, "default": _LEARN_DEFAULTS.seed},
+}
+
+# The `LearnConfig` field that each learning option sets, by dest.
+_LEARN_FIELDS = {
+    "l1": "l1_feature_penalty",
+    "l2": "l2_intercept_penalty",
+    "seed": "seed",
+}
+
+
+def _learn_config(args: argparse.Namespace, **override) -> learning.LearnConfig:
+    """The `LearnConfig` of the command's --l1, --l2 and --seed, then
+    ``override``; a field the command has no option for keeps its default."""
+    given = {f: getattr(args, d) for d, f in _LEARN_FIELDS.items() if d in args}
+    return learning.LearnConfig(**{**given, **override})
 
 
 @functools.cache
@@ -247,90 +261,80 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fuse = sub.add_parser("fuse", help="run end-to-end data fusion")
-    fuse.add_argument("--observations", required=True)
-    fuse.add_argument("--features", default=None)
-    fuse.add_argument("--truth", default=None)
-    fuse.add_argument(
+    def command(name, func, summary, shared, required=()):
+        """Subcommand ``name`` with the ``shared`` options; --observations,
+        --out and those in ``required`` must be given."""
+        cmd = sub.add_parser(name, help=summary)
+        cmd.set_defaults(func=func)
+        for flag in shared:
+            must = flag in ("--observations", "--out", *required)
+            cmd.add_argument(flag, required=must, **_SHARED_OPTIONS[flag])
+        return cmd
+
+    inputs = ("--observations", "--features", "--truth")
+    learn = ("--l1", "--l2", "--seed")
+
+    cmd = command("fuse", _run_fuse, "run end-to-end data fusion",
+                  (*inputs, "--tau", *learn, "--out"))
+    cmd.add_argument(
         "--algo",
         default="auto",
         choices=["auto", "erm", "em", "majority", "counts"],
     )
-    fuse.add_argument("--tau", type=float, default=0.1)
-    fuse.add_argument("--l1", type=float, default=0.0)
-    fuse.add_argument("--l2", type=float, default=0.01)
-    fuse.add_argument("--seed", type=int, default=0)
-    fuse.add_argument("--out", required=True)
-    fuse.set_defaults(func=_run_fuse)
 
-    opt = sub.add_parser("optimize", help="print the ERM/EM decision")
-    opt.add_argument("--observations", required=True)
-    opt.add_argument("--features", default=None)
-    opt.add_argument("--truth", default=None)
-    opt.add_argument("--tau", type=float, default=0.1)
-    opt.set_defaults(func=_run_optimize)
+    command("optimize", _run_optimize, "print the ERM/EM decision",
+            (*inputs, "--tau"))
 
-    lasso = sub.add_parser("lasso-path", help="L1 regularization path CSV")
-    lasso.add_argument("--observations", required=True)
-    lasso.add_argument("--features", required=True)
-    lasso.add_argument("--truth", required=True)
-    lasso.add_argument("--grid", type=int, default=50)
-    lasso.add_argument("--l2", type=float, default=0.01)
-    lasso.add_argument("--out", required=True)
-    lasso.set_defaults(func=_run_lasso_path)
+    cmd = command("lasso-path", _run_lasso_path, "L1 regularization path CSV",
+                  (*inputs, "--l2", "--out"), required=("--features", "--truth"))
+    cmd.add_argument("--grid", type=int, default=50)
 
-    sim = sub.add_parser("simulate", help="generate a synthetic instance")
-    sim.add_argument("--sources", type=int, required=True)
-    sim.add_argument("--objects", type=int, required=True)
-    sim.add_argument("--density", type=float, default=0.1)
-    sim.add_argument("--pair-sampling", action="store_true")
-    sim.add_argument("--domain", type=int, default=2)
-    sim.add_argument("--acc-mean", type=float, default=0.8)
-    sim.add_argument("--acc-spread", type=float, default=0.0)
-    sim.add_argument(
+    cmd = command("simulate", _run_simulate, "generate a synthetic instance",
+                  ("--seed",))
+    cmd.add_argument("--sources", dest="n_sources", type=int, required=True)
+    cmd.add_argument("--objects", dest="n_objects", type=int, required=True)
+    cmd.add_argument("--density", type=float)
+    cmd.add_argument("--pair-sampling", action="store_true")
+    cmd.add_argument("--domain", dest="domain_size", type=int)
+    cmd.add_argument("--acc-mean", dest="accuracy_mean", type=float)
+    cmd.add_argument("--acc-spread", dest="accuracy_spread", type=float)
+    cmd.add_argument(
         "--feature-model",
-        default=None,
+        dest="true_weights",
         help="comma-separated true feature weights; switches the accuracy "
         "model to logistic-of-features",
     )
-    sim.add_argument("--feature-density", type=float, default=0.5)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--out-dir", required=True)
-    sim.set_defaults(func=_run_simulate)
+    cmd.add_argument("--feature-density", type=float)
+    cmd.add_argument("--out-dir", required=True)
+    # Each option stored under a SimConfig field, --seed included, defaults
+    # to the field's default.
+    cmd.set_defaults(
+        **{
+            f.name: f.default
+            for f in dataclasses.fields(simulation.SimConfig)
+            if f.default is not dataclasses.MISSING
+        }
+    )
 
-    ev = sub.add_parser("evaluate", help="train-fraction sweep report")
-    ev.add_argument("--observations", required=True)
-    ev.add_argument("--features", default=None)
-    ev.add_argument("--truth", required=True)
-    ev.add_argument("--train-fractions", default="0.001,0.01,0.05,0.1,0.2")
-    ev.add_argument("--reps", type=int, default=5)
-    ev.add_argument("--l1", type=float, default=0.0)
-    ev.add_argument("--l2", type=float, default=0.01)
-    ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument(
+    cmd = command("evaluate", _run_evaluate, "train-fraction sweep report",
+                  (*inputs, *learn, "--out"), required=("--truth",))
+    cmd.add_argument("--train-fractions", default="0.001,0.01,0.05,0.1,0.2")
+    cmd.add_argument("--reps", type=int, default=5)
+    cmd.add_argument(
         "--timing",
         action="store_true",
         help="include wall-clock runtimes (breaks byte-for-byte reproducibility)",
     )
-    ev.add_argument("--out", required=True)
-    ev.set_defaults(func=_run_evaluate)
 
-    pred = sub.add_parser(
-        "predict-sources", help="cold-start accuracy for new sources"
-    )
-    pred.add_argument("--weights", required=True)
-    pred.add_argument("--features", required=True)
-    pred.add_argument("--out", required=True)
-    pred.set_defaults(func=_run_predict_sources)
+    cmd = command("predict-sources", _run_predict_sources,
+                  "cold-start accuracy for new sources",
+                  ("--features", "--out"), required=("--features",))
+    cmd.add_argument("--weights", required=True)
 
-    pair = sub.add_parser(
-        "pair-estimate", help="unsupervised accuracies from pairwise agreement"
-    )
-    pair.add_argument("--observations", required=True)
-    pair.add_argument("--features", required=True)
-    pair.add_argument("--seed", type=int, default=0)
-    pair.add_argument("--out", required=True)
-    pair.set_defaults(func=_run_pair_estimate)
+    command("pair-estimate", _run_pair_estimate,
+            "unsupervised accuracies from pairwise agreement",
+            ("--observations", "--features", "--seed", "--out"),
+            required=("--features",))
     return parser
 
 

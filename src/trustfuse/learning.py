@@ -63,6 +63,8 @@ class LearnConfig:
             raise ValueError("penalties must be non-negative and finite")
         if self.max_outer_iters < 1 or self.max_inner_iters < 0:
             raise ValueError("iteration limits must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,6 @@ def argmax_with_ties(
     values: np.ndarray,
     instance: FusionInstance,
     rng: np.random.Generator,
-    tol: float = SCORE_TIE_TOL,
 ) -> dict[str, str]:
     """Per-object argmax over flat candidate values with seeded tie-breaking.
 
@@ -206,7 +205,7 @@ def argmax_with_ties(
     ties, so two score functions with identical tie structure and a shared
     seed break ties identically.
     """
-    picks = _argmax_candidates(values, instance, rng, tol)
+    picks = _argmax_candidates(values, instance, rng)
     cand_values = instance.cand_values
     return dict(zip(instance.objects, [cand_values[c] for c in picks.tolist()]))
 
@@ -215,15 +214,14 @@ def _argmax_candidates(
     values: np.ndarray,
     instance: FusionInstance,
     rng: np.random.Generator,
-    tol: float = SCORE_TIE_TOL,
 ) -> np.ndarray:
     """`argmax_with_ties` as the flat candidate index picked per object.
 
-    An object whose candidates tie within ``tol`` of its best draws
+    An object whose candidates tie within `SCORE_TIE_TOL` of its best draws
     ``rng.integers(n_ties)`` among them; tied objects draw in object order.
     """
     best = _object_max(values, instance)
-    ties = np.flatnonzero(values >= (best - tol)[instance.cand_object])
+    ties = np.flatnonzero(values >= (best - SCORE_TIE_TOL)[instance.cand_object])
     n_ties = np.bincount(instance.cand_object[ties], minlength=instance.n_objects)
     if not np.all(n_ties):
         raise ValueError("candidate values must not be NaN")

@@ -135,6 +135,10 @@ def ground_truth_units(instance: FusionInstance, ground_truth: GroundTruth) -> f
     return float(instance.obs_counts[labelled].sum())
 
 
+# The selector threshold `fuse` and the CLI use when none is given.
+DEFAULT_TAU = 0.1
+
+
 def check_tau(tau: float) -> None:
     """Reject a selector threshold ``tau`` that is not positive and finite."""
     if not 0 < tau < math.inf:

@@ -16,7 +16,7 @@ from .model import (
     source_accuracies,
     trust_score,
 )
-from .optimizer import OptimizerDecision, check_tau, decide
+from .optimizer import DEFAULT_TAU, OptimizerDecision, check_tau, decide
 
 __all__ = ["FusionResult", "fuse"]
 
@@ -37,7 +37,7 @@ def fuse(
     truth: GroundTruth,
     algo: str,
     config: LearnConfig,
-    tau: float = 0.1,
+    tau: float = DEFAULT_TAU,
 ) -> FusionResult:
     """Fuse ``instance`` with ``algo``: "erm", "em", "counts", "majority", or
     "auto", which lets `decide` pick ERM or EM at threshold ``tau``.

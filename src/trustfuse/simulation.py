@@ -36,6 +36,8 @@ class SimConfig:
             raise ValueError("pair sampling needs at least two sources")
         if self.domain_size < 2:
             raise ValueError("domain size must be at least 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         given = (self.accuracy_mean, self.accuracy_spread, *(self.true_weights or ()))
         if not np.all(np.isfinite(given)):
             raise ValueError("accuracy mean, spread and feature weights must be finite")

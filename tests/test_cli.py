@@ -760,8 +760,29 @@ class TestSimulateCommand:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "x").exists()
 
+    def test_unparsable_feature_weight_is_one_error_line(self, tmp_path, capsys):
+        code = run("simulate", "--sources", 8, "--objects", 40,
+                   "--feature-model", "1,abc", "--out-dir", tmp_path / "x")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: could not convert string to float: 'abc'"
+        ]
+        assert not (tmp_path / "x").exists()
+
 
 class TestEvaluateCommand:
+    @pytest.mark.parametrize("reps", [0, -2])
+    def test_reps_below_one_is_input_error(self, sim_dir, tmp_path, capsys, reps):
+        out = tmp_path / "report.json"
+        code = run("evaluate", "--observations", sim_dir / "observations.csv",
+                   "--truth", sim_dir / "truth.csv", "--reps", reps, "--out", out)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [
+            f"error: reps must be at least 1, got {reps}"
+        ]
+        assert not out.exists()
+
     def test_report_rows_and_determinism(self, sim_dir, tmp_path):
         args = ("evaluate", "--observations", sim_dir / "observations.csv",
                 "--truth", sim_dir / "truth.csv",
@@ -911,6 +932,77 @@ class TestPairEstimateCommand:
         errs = [abs(payload["accuracies"][f"s{s}"] - sim.true_accuracies[s])
                 for s in range(10)]
         assert np.mean(errs) < 0.15
+
+
+@pytest.mark.parametrize("command", ["fuse", "simulate", "evaluate", "pair-estimate"])
+def test_negative_seed_is_input_error(featured_dir, tmp_path, capsys, command):
+    # Rejected when the config is built, before any fit or write.
+    out = tmp_path / "out"
+    if command == "simulate":
+        args = ["--sources", 8, "--objects", 40, "--out-dir", out]
+    else:
+        args = ["--observations", featured_dir / "observations.csv",
+                "--features", featured_dir / "features.csv", "--out", out]
+    if command in ("fuse", "evaluate"):
+        args += ["--truth", featured_dir / "truth.csv"]
+    if command == "fuse":
+        args += ["--algo", "erm"]
+    code = run(command, *args, "--seed", -1)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == ["error: seed must be non-negative, got -1"]
+    assert not out.exists()
+
+
+# Each command's options at the defaults the CLI has always had, spelled out.
+DEFAULTS = {
+    "fuse": ("--tau", 0.1, "--l1", 0.0, "--l2", 0.01, "--seed", 0),
+    "optimize": ("--tau", 0.1),
+    "lasso-path": ("--grid", 50, "--l2", 0.01),
+    "evaluate": ("--train-fractions", "0.001,0.01,0.05,0.1,0.2", "--reps", 5,
+                 "--l1", 0.0, "--l2", 0.01, "--seed", 0),
+    "pair-estimate": ("--seed", 0),
+    "simulate": ("--density", 0.1, "--domain", 2, "--acc-mean", 0.8,
+                 "--acc-spread", 0.0, "--feature-density", 0.5, "--seed", 0),
+}
+
+
+class TestDefaults:
+    """Leaving an option out writes the same bytes as giving its default."""
+
+    @pytest.mark.parametrize("command, given", [
+        pytest.param(("fuse",), ("--algo", "auto", *DEFAULTS["fuse"]), id="fuse"),
+        *(pytest.param(("fuse", "--algo", algo), DEFAULTS["fuse"], id=f"fuse-{algo}")
+          for algo in ("erm", "em", "majority", "counts")),
+        *(pytest.param((name,), DEFAULTS[name], id=name)
+          for name in ("optimize", "lasso-path", "evaluate", "pair-estimate")),
+    ])
+    def test_command(self, featured_dir, tmp_path, capsys, command, given):
+        args = [*command, "--observations", featured_dir / "observations.csv",
+                "--features", featured_dir / "features.csv"]
+        if command[0] != "pair-estimate":
+            args += ["--truth", featured_dir / "truth.csv"]
+        written = []
+        for i, extra in enumerate(((), given)):
+            out = tmp_path / f"out{i}"
+            if command[0] == "optimize":
+                assert run(*args, *extra) == 0
+                written.append(capsys.readouterr().out.encode())
+            else:
+                assert run(*args, *extra, "--out", out) == 0
+                written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("model", [(), ("--feature-model", "1.5,-0.5")])
+    def test_simulate(self, tmp_path, model):
+        for name, extra in (("left-out", ()), ("given", DEFAULTS["simulate"])):
+            assert run("simulate", "--sources", 8, "--objects", 60, *model, *extra,
+                       "--out-dir", tmp_path / name) == 0
+        files = sorted(p.name for p in (tmp_path / "left-out").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "given").iterdir())
+        for f in files:
+            assert ((tmp_path / "left-out" / f).read_bytes()
+                    == (tmp_path / "given" / f).read_bytes())
 
 
 def test_main_builds_its_parser_once(sim_dir, capsys):

@@ -92,6 +92,10 @@ class TestLearnConfig:
         with pytest.raises(ValueError, match="non-negative and finite"):
             LearnConfig(**{name: value})
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            LearnConfig(seed=-1)
+
 
 class TestFitErmObject:
     def test_singleton_domain_has_zero_loss(self):

@@ -24,6 +24,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(n_sources=1, n_objects=5, pair_sampling=True)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            SimConfig(n_sources=5, n_objects=5, seed=-1)
+
     @pytest.mark.parametrize("field", [
         {"accuracy_mean": float("nan")},
         {"accuracy_spread": float("nan")},
