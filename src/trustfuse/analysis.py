@@ -111,12 +111,8 @@ def add_copying_features(
     if min_overlap < 1:
         raise ValueError("min_overlap must be at least 1")
     n = instance.n_sources
-    first, second = instance.obs_pairs
-    # Each co-observed object contributes one (i, j) key, i < j.
-    keys, overlap = np.unique(
-        instance.obs_source[first] * n + instance.obs_source[second],
-        return_counts=True,
-    )
+    # Each co-observed object contributes one (i, j) cell, i < j.
+    keys, overlap = np.unique(instance.obs_pair_cells[0], return_counts=True)
     keys = keys[overlap >= min_overlap]
     return instance.with_pairs(list(zip((keys // n).tolist(), (keys % n).tolist())))
 

@@ -125,42 +125,40 @@ def _run_evaluate(args: argparse.Namespace) -> int:
     instance, truth = load_instance(args.observations, args.features, args.truth)
     fractions = [float(x) for x in args.train_fractions.split(",")]
     obj_idx = {name: i for i, name in enumerate(instance.objects)}
-    truth_by_name = {
-        instance.objects[o]: v for o, v in truth.labels.items()
-    }
+    truth_by_name = {instance.objects[o]: v for o, v in truth.labels.items()}
     labeled = list(truth_by_name)
     full = len(truth) == instance.n_objects
+    runs = [
+        (fraction, rep, _learn_config(args, seed=args.seed + 1000 * fi + rep))
+        for fi, fraction in enumerate(fractions)
+        for rep in range(args.reps)
+    ]
+    # Every split is drawn, so every fraction checked, before the first fit.
+    splits = [evaluation.make_split(labeled, f, c.seed) for f, _, c in runs]
     rows = []
-    for fi, fraction in enumerate(fractions):
-        for rep in range(args.reps):
-            config = _learn_config(args, seed=args.seed + 1000 * fi + rep)
-            train, test = evaluation.make_split(labeled, fraction, config.seed)
-            train_gt = GroundTruth(
-                {obj_idx[name]: truth_by_name[name] for name in train}
+    for (fraction, rep, config), (train, test) in zip(runs, splits):
+        train_gt = GroundTruth({obj_idx[name]: truth_by_name[name] for name in train})
+        for algo in ("erm", "em", "counts", "majority"):
+            t0 = time.perf_counter()
+            result = fuse(instance, train_gt, algo, config)
+            elapsed_ms = (time.perf_counter() - t0) * 1000.0
+            err = (
+                evaluation.weighted_accuracy_error(result.accuracies, instance, truth)
+                if full
+                else None
             )
-            for algo in ("erm", "em", "counts", "majority"):
-                t0 = time.perf_counter()
-                result = fuse(instance, train_gt, algo, config)
-                elapsed_ms = (time.perf_counter() - t0) * 1000.0
-                err = (
-                    evaluation.weighted_accuracy_error(
-                        result.accuracies, instance, truth
-                    )
-                    if full
-                    else None
-                )
-                rows.append(
-                    {
-                        "config": {"train_fraction": fraction, "rep": rep},
-                        "seed": config.seed,
-                        "algorithm": algo,
-                        "object_accuracy": evaluation.object_accuracy(
-                            result.values, truth_by_name, test
-                        ),
-                        "weighted_accuracy_error": err,
-                        "runtime_ms": elapsed_ms if args.timing else None,
-                    }
-                )
+            rows.append(
+                {
+                    "config": {"train_fraction": fraction, "rep": rep},
+                    "seed": config.seed,
+                    "algorithm": algo,
+                    "object_accuracy": evaluation.object_accuracy(
+                        result.values, truth_by_name, test
+                    ),
+                    "weighted_accuracy_error": err,
+                    "runtime_ms": elapsed_ms if args.timing else None,
+                }
+            )
     dump_json({"rows": rows}, args.out)
     return EXIT_OK
 

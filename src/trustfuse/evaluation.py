@@ -67,13 +67,17 @@ def weighted_accuracy_error(
 def make_split(
     objects: Iterable[str], train_fraction: float, seed: int
 ) -> tuple[list[str], list[str]]:
-    """Seeded train/test split; train gets ceil(fraction * n), at least 1."""
+    """Seeded train/test split; train gets ceil(fraction * n), at least 1,
+    and test the rest, which must not be empty."""
     if not (0.0 < train_fraction < 1.0):
         raise ValueError("train fraction must be in (0, 1)")
     objs = list(objects)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(objs))
     n_train = max(1, int(np.ceil(train_fraction * len(objs))))
+    if n_train >= len(objs):
+        raise ValueError(
+            f"train fraction {train_fraction} of {len(objs)} labels leaves no test set"
+        )
+    order = np.random.default_rng(seed).permutation(len(objs))
     train = [objs[i] for i in order[:n_train]]
     test = [objs[i] for i in order[n_train:]]
     return train, test

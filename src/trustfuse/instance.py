@@ -293,11 +293,15 @@ class FusionInstance:
         return np.bincount(self.obs_cand, minlength=self.n_candidates)
 
     @cached_property
+    def wrong_counts(self) -> np.ndarray:
+        """``max(|D_o| - 1, 1)``, the values a wrong vote spreads over, per object."""
+        return np.maximum(self.cand_counts - 1, 1)
+
+    @cached_property
     def cand_vote_term(self) -> np.ndarray:
-        """``log(max(|D_o| - 1, 1))`` per vote on each candidate: the score a
-        vote adds when wrong votes spread uniformly (0 on binary domains)."""
-        log_wrong = np.log(np.maximum(self.cand_counts - 1, 1))
-        return log_wrong[self.cand_object] * self.cand_votes
+        """``log(wrong_counts)`` per vote on each candidate: the score a vote
+        adds when wrong votes spread uniformly (0 on binary domains)."""
+        return np.log(self.wrong_counts)[self.cand_object] * self.cand_votes
 
     @cached_property
     def domains(self) -> tuple[tuple[str, ...], ...]:
@@ -353,6 +357,14 @@ class FusionInstance:
         return order[first], order[second]
 
     @cached_property
+    def obs_pair_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per `obs_pairs` pair: its sources' cell in a row-major S x S matrix
+        (``np.ravel_multi_index``), above the diagonal, and whether its votes agree."""
+        first, second = self.obs_pairs
+        cells = self.obs_source[first] * self.n_sources + self.obs_source[second]
+        return cells, self.obs_cand[first] == self.obs_cand[second]
+
+    @cached_property
     def pair_events(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Copying-feature firings: (object, agreed candidate, pair id).
 
@@ -362,16 +374,13 @@ class FusionInstance:
         if not self.pairs:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty.copy(), empty.copy()
-        first, second = self.obs_pairs
-        n = self.n_sources
-        pair_keys = np.array([i * n + j for i, j in self.pairs], dtype=np.int64)
+        first, _ = self.obs_pairs
+        cells, agree = self.obs_pair_cells
+        pair_keys = np.ravel_multi_index(np.array(self.pairs).T, (self.n_sources,) * 2)
         by_key = np.argsort(pair_keys, kind="stable")
-        keys = self.obs_source[first] * n + self.obs_source[second]
-        pos = np.minimum(np.searchsorted(pair_keys[by_key], keys), by_key.size - 1)
+        pos = np.minimum(np.searchsorted(pair_keys[by_key], cells), by_key.size - 1)
         pair_id = by_key[pos]
-        fires = (pair_keys[pair_id] == keys) & (
-            self.obs_cand[first] == self.obs_cand[second]
-        )
+        fires = (pair_keys[pair_id] == cells) & agree
         return (
             self.obs_object[first[fires]],
             self.obs_cand[first[fires]],

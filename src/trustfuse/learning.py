@@ -199,32 +199,28 @@ def _object_sigma_loss(
     (`_labelled_part`), and every array here is as long as its observations,
     candidates and vote pairs. Its curvature in sigma is the S x S matrix
     sum_o m_o (diag(p_o) - p_o p_o') pulled back through the vote incidence,
-    with m_o the object's label mass: each ordered pair (i, j) of
-    observations of an object, i = j included, adds
-    m_o p[c_i]([c_i = c_j] - p[c_j]) at (s_i, s_j).
+    with m_o the object's label mass: U + U' + diag(d), where a vote pair adds
+    m_o p_first ([agree] - p_second) to U at its `obs_pair_cells` cell, above
+    the diagonal, and an observation adds m_o p (1 - p) to d at its source.
     """
     if instance.pairs:
         return _object_pair_loss(instance, targets, obj_weight)
     n_s = instance.n_sources
     first, second = instance.obs_pairs
-    own = np.arange(instance.n_observations)
-    obs_i = np.concatenate([first, second, own])
-    obs_j = np.concatenate([second, first, own])
-    cand_i, cand_j = instance.obs_cand[obs_i], instance.obs_cand[obs_j]
-    same = (cand_i == cand_j).astype(float)
-    mass = obj_weight[instance.obs_object[obs_i]]
-    cell = instance.obs_source[obs_i] * n_s + instance.obs_source[obs_j]
+    cells, agree = instance.obs_pair_cells
+    cand_f, cand_s = instance.obs_cand[first], instance.obs_cand[second]
     incl_cand = obj_weight[instance.cand_object]
     no_pairs = np.empty(0)
 
     def loss(sigma: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         scores = _candidate_scores(instance, sigma, no_pairs)
         value, probs, _, g_sigma = _cross_entropy(instance, targets, incl_cand, scores)
-        p_i = probs[cand_i]
-        curv = np.bincount(
-            cell, weights=mass * p_i * (same - probs[cand_j]), minlength=n_s * n_s
-        )
-        return value, g_sigma, curv.reshape(n_s, n_s)
+        mass_p = incl_cand * probs
+        pair_w = mass_p[cand_f] * (agree - probs[cand_s])
+        upper = np.bincount(cells, weights=pair_w, minlength=n_s**2).reshape(n_s, n_s)
+        own_w = (mass_p * (1.0 - probs))[instance.obs_cand]
+        d = np.bincount(instance.obs_source, weights=own_w, minlength=n_s)
+        return value, g_sigma, upper + upper.T + np.diag(d)
 
     return loss
 

@@ -39,17 +39,14 @@ class OptimizerDecision:
 def agreement_matrix(instance: FusionInstance) -> np.ndarray:
     """Mean pairwise agreement-minus-disagreement; 0 where no overlap."""
     n = instance.n_sources
-    first, second = instance.obs_pairs
-    # One key per pair of observations of one object, i * n + j with i < j.
-    keys = instance.obs_source[first] * n + instance.obs_source[second]
-    same = instance.obs_cand[first] == instance.obs_cand[second]
+    # One cell per pair of observations of one object, above the diagonal.
+    keys, same = instance.obs_pair_cells
     cnt = np.bincount(keys, minlength=n * n).reshape(n, n)
     agree = np.bincount(keys[same], minlength=n * n).reshape(n, n)
     cnt = cnt + cnt.T
-    # The numerator is 0 wherever cnt is, so pairs with no overlap get 0.
-    x = (2 * (agree + agree.T) - cnt) / np.maximum(cnt, 1.0)
-    np.fill_diagonal(x, 0.0)
-    return x
+    # The numerator is 0 wherever cnt is, so pairs with no overlap and the
+    # diagonal (the cells lie above it) get 0.
+    return (2 * (agree + agree.T) - cnt) / np.maximum(cnt, 1.0)
 
 
 def estimate_avg_accuracy(instance: FusionInstance) -> float:
@@ -62,9 +59,8 @@ def estimate_avg_accuracy(instance: FusionInstance) -> float:
         raise ValueError("need at least two sources to estimate agreement")
     x = agreement_matrix(instance)
     mu = float(x.sum()) / (n * n - n)
-    first, _ = instance.obs_pairs
-    wrong = np.maximum(instance.cand_counts[instance.obs_object[first]] - 1, 1)
-    c = float(np.mean(1.0 / wrong)) if first.size else 1.0
+    wrong = instance.wrong_counts[instance.obs_object[instance.obs_pairs[0]]]
+    c = float(np.mean(1.0 / wrong)) if wrong.size else 1.0
     r = ((1.0 + c) * mu + (1.0 - c)) / 2.0
     return float(min((c + np.sqrt(max(0.0, r))) / (1.0 + c), 1.0))
 

@@ -783,6 +783,25 @@ class TestEvaluateCommand:
         ]
         assert not out.exists()
 
+    def test_fraction_leaving_no_test_object_fails_before_any_fit(
+        self, sim_dir, tmp_path, capsys, monkeypatch
+    ):
+        truth = tmp_path / "truth.csv"
+        lines = (sim_dir / "truth.csv").read_text().splitlines(keepends=True)
+        truth.write_text("".join(lines[:3]))  # header and two labels
+        fits = []
+        monkeypatch.setattr(cli, "fuse", lambda *a, **k: fits.append(a))
+        out = tmp_path / "report.json"
+        code = run("evaluate", "--observations", sim_dir / "observations.csv",
+                   "--truth", truth, "--train-fractions", "0.1,0.9", "--reps", 1,
+                   "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: train fraction 0.9 of 2 labels leaves no test set"
+        ]
+        assert not out.exists()
+        assert fits == []
+
     def test_report_rows_and_determinism(self, sim_dir, tmp_path):
         args = ("evaluate", "--observations", sim_dir / "observations.csv",
                 "--truth", sim_dir / "truth.csv",

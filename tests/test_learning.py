@@ -446,6 +446,8 @@ class TestObjectNewton:
             e[s] = h
             fd[:, s] = (loss(sigma + e)[1] - loss(sigma - e)[1]) / (2 * h)
         np.testing.assert_allclose(curv, fd, atol=1e-7)
+        # Each pair's cell is mirrored below the diagonal, not summed again.
+        assert np.array_equal(curv, curv.T)
 
     def test_one_step_from_zeros_is_not_converged(self, problem):
         inst, targets = problem
@@ -822,6 +824,8 @@ class TestLabelledPart:
         obs = np.flatnonzero(keep[big.obs_object])
         assert np.array_equal(obs[part.obs_pairs[0]], first[on_labels])
         assert np.array_equal(obs[part.obs_pairs[1]], second[on_labels])
+        for part_col, big_col in zip(part.obs_pair_cells, big.obs_pair_cells):
+            assert np.array_equal(part_col, big_col[on_labels])
         ev_obj, ev_cand, ev_pair = big.pair_events
         on_labels = keep[ev_obj]
         assert np.array_equal(labelled[part.pair_events[0]], ev_obj[on_labels])
