@@ -340,29 +340,50 @@ class FusionInstance:
         return np.bincount(self.obs_source, minlength=self.n_sources)
 
     @cached_property
+    def _pair_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one vote-pair incidence that `obs_pairs` and `obs_pair_cells`
+        read: the observations in (object, source) order, each one's count
+        of later observations of its object (the pairs it is first in), and
+        each pair's second observation as a position in that order."""
+        order = np.argsort(self.obs_object * self.n_sources + self.obs_source)
+        block_end = np.repeat(np.cumsum(self.obs_counts), self.obs_counts)
+        n_after = block_end - np.arange(order.size) - 1
+        # Pair k, first at position i, has its second at position
+        # i + 1 + k - (the pairs of the positions before i).
+        shift = np.arange(1, order.size + 1) - (np.cumsum(n_after) - n_after)
+        second = np.repeat(shift, n_after)
+        second += np.arange(second.size)
+        return order, n_after, second
+
+    @cached_property
     def obs_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every pair of observations of one object, as observation indices
         (first, second) with first's source below second's.
 
         Objects come in index order; an object's pairs come in lexicographic
-        order of their (first, second) sources.
+        order of their (first, second) sources. The keys ``obs_object *
+        n_sources + obs_source`` are distinct, since an instance holds one
+        observation per object and source, so one ``argsort`` of them gives
+        that order whatever the sort's stability. Past that N log N sort
+        over the N observations, the pairs take O(N + P) for P pairs: one
+        repeat per column and one ``arange``.
         """
-        order = np.lexsort((self.obs_source, self.obs_object))
-        counts = self.obs_counts
-        block_end = np.repeat(np.cumsum(counts), counts)
-        n_after = block_end - np.arange(order.size) - 1
-        first = np.repeat(np.arange(order.size), n_after)
-        run_start = np.repeat(np.cumsum(n_after) - n_after, n_after)
-        second = first + 1 + np.arange(first.size) - run_start
-        return order[first], order[second]
+        order, n_after, second = self._pair_positions
+        return np.repeat(order, n_after), order[second]
 
     @cached_property
     def obs_pair_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """Per `obs_pairs` pair: its sources' cell in a row-major S x S matrix
-        (``np.ravel_multi_index``), above the diagonal, and whether its votes agree."""
-        first, second = self.obs_pairs
-        cells = self.obs_source[first] * self.n_sources + self.obs_source[second]
-        return cells, self.obs_cand[first] == self.obs_cand[second]
+        (``np.ravel_multi_index``), above the diagonal, and whether its votes agree.
+
+        Read in O(N + P) from the sources and candidates in `obs_pairs`'
+        sorted order, which shares its sort and positions, so the pairs'
+        observation indices are not built."""
+        order, n_after, second = self._pair_positions
+        source, cand = self.obs_source[order], self.obs_cand[order]
+        cells = np.repeat(source * self.n_sources, n_after)
+        cells += source[second]
+        return cells, np.repeat(cand, n_after) == cand[second]
 
     @cached_property
     def pair_events(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

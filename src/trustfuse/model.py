@@ -219,6 +219,9 @@ def _argmax_candidates(
 
     An object whose candidates tie within `SCORE_TIE_TOL` of its best draws
     ``rng.integers(n_ties)`` among them; tied objects draw in object order.
+    All draws are one ``rng.integers`` call over the tied objects' counts,
+    which takes the same values from the stream, and leaves it in the same
+    state, as one call per tied object in turn.
     """
     best = _object_max(values, instance)
     ties = np.flatnonzero(values >= (best - SCORE_TIE_TOL)[instance.cand_object])
@@ -228,8 +231,8 @@ def _argmax_candidates(
     first = np.zeros(instance.n_objects + 1, dtype=np.int64)
     np.cumsum(n_ties, out=first[1:])
     picks = ties[first[:-1]]
-    for o in np.flatnonzero(n_ties > 1).tolist():
-        picks[o] = ties[first[o] + rng.integers(int(n_ties[o]))]
+    tied = np.flatnonzero(n_ties > 1)
+    picks[tied] = ties[first[tied] + rng.integers(n_ties[tied])]
     return picks
 
 

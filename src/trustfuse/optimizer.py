@@ -42,7 +42,8 @@ def agreement_matrix(instance: FusionInstance) -> np.ndarray:
     # One cell per pair of observations of one object, above the diagonal.
     keys, same = instance.obs_pair_cells
     cnt = np.bincount(keys, minlength=n * n).reshape(n, n)
-    agree = np.bincount(keys[same], minlength=n * n).reshape(n, n)
+    # Weighting by the flags counts the agreeing pairs without a masked copy.
+    agree = np.bincount(keys, weights=same, minlength=n * n).reshape(n, n)
     cnt = cnt + cnt.T
     # The numerator is 0 wherever cnt is, so pairs with no overlap and the
     # diagonal (the cells lie above it) get 0.
@@ -53,14 +54,19 @@ def estimate_avg_accuracy(instance: FusionInstance) -> float:
     """Average source accuracy A from the agreement matrix, solving
     2 (A^2 + c (1 - A)^2) - 1 = mean agreement-minus-disagreement, with c the
     mean of 1 / max(|D_o| - 1, 1) over pairs of votes on one object: two
-    wrong votes agree with probability c. In [c / (1 + c), 1]."""
+    wrong votes agree with probability c. In [c / (1 + c), 1].
+
+    Object o holds m_o (m_o - 1) / 2 vote pairs, so c is a sum over the
+    objects, not over the pairs."""
     n = instance.n_sources
     if n < 2:
         raise ValueError("need at least two sources to estimate agreement")
     x = agreement_matrix(instance)
     mu = float(x.sum()) / (n * n - n)
-    wrong = instance.wrong_counts[instance.obs_object[instance.obs_pairs[0]]]
-    c = float(np.mean(1.0 / wrong)) if wrong.size else 1.0
+    m = instance.obs_counts
+    pairs = m * (m - 1) // 2
+    n_pairs = int(pairs.sum())
+    c = float(np.sum(pairs / instance.wrong_counts)) / n_pairs if n_pairs else 1.0
     r = ((1.0 + c) * mu + (1.0 - c)) / 2.0
     return float(min((c + np.sqrt(max(0.0, r))) / (1.0 + c), 1.0))
 
