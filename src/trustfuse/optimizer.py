@@ -56,13 +56,19 @@ def estimate_avg_accuracy(instance: FusionInstance) -> float:
     mean of 1 / max(|D_o| - 1, 1) over pairs of votes on one object: two
     wrong votes agree with probability c. In [c / (1 + c), 1].
 
-    Object o holds m_o (m_o - 1) / 2 vote pairs, so c is a sum over the
-    objects, not over the pairs."""
+    The mean is over the source pairs that observe some object together;
+    pairs that never overlap carry no evidence, and the mean is 0 when no
+    pair overlaps. Object o holds m_o (m_o - 1) / 2 vote pairs, so c is a
+    sum over the objects, not over the pairs."""
     n = instance.n_sources
     if n < 2:
         raise ValueError("need at least two sources to estimate agreement")
     x = agreement_matrix(instance)
-    mu = float(x.sum()) / (n * n - n)
+    # Each overlapping pair of sources fills one cell above the diagonal of
+    # the cell counts and two entries of x.
+    cells = np.bincount(instance.obs_pair_cells[0], minlength=n * n)
+    overlapping = 2 * np.count_nonzero(cells)
+    mu = float(x.sum()) / overlapping if overlapping else 0.0
     m = instance.obs_counts
     pairs = m * (m - 1) // 2
     n_pairs = int(pairs.sum())

@@ -74,6 +74,28 @@ class TestEstimateAvgAccuracy:
                 worst = max(worst, abs(estimate_avg_accuracy(sim.instance) - a))
         assert worst <= 0.09
 
+    @pytest.mark.parametrize("density", [0.005, 0.01])
+    def test_sparse_instance_reads_its_observations_accuracy(self, density):
+        # Only 18% (0.005) and 44% (0.01) of the source pairs here observe an
+        # object together. A pair that never does carries no agreement
+        # evidence; counted as 0 it pulled the estimate to 0.560 and 0.582.
+        sim = generate(
+            SimConfig(n_sources=200, n_objects=5000, density=density,
+                      true_weights=(1.5, -0.8, 0.6), seed=1)
+        )
+        inst = sim.instance
+        label = sim.truth.label_candidates(inst)
+        observed = float(np.mean(inst.obs_cand == label[inst.obs_object]))
+        assert estimate_avg_accuracy(inst) == pytest.approx(observed, abs=0.03)
+
+    def test_no_overlapping_pair_reads_chance(self):
+        # Two sources that never observe an object together: no agreement
+        # evidence, so the mean is 0 and the estimate is chance.
+        inst = FusionInstance.from_triples(
+            ["s0", "s1"], ["o0", "o1"], [(0, 0, "a"), (1, 1, "b")]
+        )
+        assert estimate_avg_accuracy(inst) == 0.5
+
     def test_invariant_to_value_relabeling_and_source_permutation(self, rng):
         sim = generate(SimConfig(n_sources=20, n_objects=100, density=0.2, seed=4))
         inst = sim.instance
