@@ -1062,17 +1062,43 @@ run("predict-sources", "--weights", d / "result.json", "--features", feats,
 """
 
 
-def test_every_command_runs_without_scipy(tmp_path):
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_every_command_runs_without_scipy(tmp_path):
     done = subprocess.run(
         [sys.executable, "-c", BLOCKED_SCIPY_SESSION, str(tmp_path)],
-        env=env, capture_output=True, text=True,
+        env=src_env(), capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
     decision = json.loads(done.stdout)
     assert decision["em_units"] > 0
     assert json.loads((tmp_path / "result.json").read_text())["values"]
+
+
+IMPORTED_PACKAGES = """
+import sys
+before = set(sys.modules)
+import trustfuse.cli
+loaded = {m.partition(".")[0] for m in set(sys.modules) - before}
+print(" ".join(sorted(loaded - set(sys.stdlib_module_names))))
+"""
+
+
+def test_cli_import_loads_only_numpy_beyond_the_standard_library():
+    # Every `trustfuse` process pays its imports at start-up, and a fresh
+    # process without cached bytecode compiles each module it loads:
+    # `import scipy.sparse` alone adds about 0.12 s.
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORTED_PACKAGES],
+        env=src_env(), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["numpy", "trustfuse"]

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trustfuse import (
@@ -20,6 +20,7 @@ from trustfuse import (
     InstanceError,
     add_copying_features,
     em_units,
+    estimate_avg_accuracy,
     io,
     load_instance,
     posterior_all,
@@ -238,6 +239,40 @@ def ref_agreement_matrix(instance):
         x = np.where(cnt > 0, num / np.maximum(cnt, 1.0), 0.0)
     np.fill_diagonal(x, 0.0)
     return x
+
+
+def ref_obs_pairs(instance):
+    """Every pair of observations of one object: objects in index order,
+    each object's pairs in (first source, second source) order."""
+    first, second = [], []
+    for o in range(instance.n_objects):
+        rows = instance.observers_of(o)
+        rows = rows[np.argsort(instance.obs_source[rows])].tolist()
+        for a, row in enumerate(rows):
+            for other in rows[a + 1 :]:
+                first.append(row)
+                second.append(other)
+    return np.array(first, dtype=np.int64), np.array(second, dtype=np.int64)
+
+
+def ref_estimate_avg_accuracy(instance):
+    """The estimate with c as the mean of 1 / max(|D_o| - 1, 1) over every
+    vote pair, and the agreement mean over the overlapping source pairs."""
+    n = instance.n_sources
+    x = ref_agreement_matrix(instance)
+    overlap = np.zeros((n, n), dtype=bool)
+    per_pair = []
+    for o in range(instance.n_objects):
+        srcs = instance.obs_source[instance.observers_of(o)].tolist()
+        wrong = max(int(instance.cand_counts[o]) - 1, 1)
+        for a, s in enumerate(srcs):
+            for t in srcs[a + 1 :]:
+                overlap[s, t] = overlap[t, s] = True
+                per_pair.append(1.0 / wrong)
+    mu = float(x.sum()) / int(overlap.sum()) if overlap.any() else 0.0
+    c = float(np.mean(per_pair)) if per_pair else 1.0
+    r = ((1.0 + c) * mu + (1.0 - c)) / 2.0
+    return float(min((c + np.sqrt(max(0.0, r))) / (1.0 + c), 1.0))
 
 
 def ref_em_units(instance, avg_accuracy):
@@ -680,6 +715,57 @@ def test_agreement_matrix_and_em_units_equal_loops(domain, seed):
     assert np.array_equal(agreement_matrix(inst), ref_agreement_matrix(inst))
     for acc in (0.55, 0.8, 1.0 - 1e-12):
         assert em_units(inst, acc) == ref_em_units(inst, acc)
+
+
+@pytest.mark.parametrize("domain", [2, 3, 5, 8])
+@pytest.mark.parametrize("shape", [(30, 400), (60, 40)])
+def test_avg_accuracy_equals_the_per_pair_loop(domain, shape):
+    # (60, 40) leaves a third to a half of the source pairs without overlap.
+    inst, _ = simulated(domain, seed=domain, n_sources=shape[0], n_objects=shape[1])
+    got, want = estimate_avg_accuracy(inst), ref_estimate_avg_accuracy(inst)
+    if domain == 2:
+        # c is 1 however it is summed.
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@st.composite
+def pair_instances(draw):
+    """Up to 6 sources and 8 objects in shuffled observation order: objects
+    with one observer, and one object that every source observes."""
+    n_s = draw(st.integers(1, 6))
+    n_o = draw(st.integers(1, 8))
+    everyone = draw(st.integers(0, n_o - 1))
+    some_sources = st.lists(
+        st.integers(0, n_s - 1), min_size=1, max_size=n_s, unique=True
+    )
+    triples = [
+        (o, s, draw(st.sampled_from("abc")))
+        for o in range(n_o)
+        for s in (range(n_s) if o == everyone else draw(some_sources))
+    ]
+    return FusionInstance.from_triples(
+        [f"s{i}" for i in range(n_s)],
+        [f"o{i}" for i in range(n_o)],
+        draw(st.permutations(triples)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_instances())
+@example(FusionInstance.from_triples(["s0"], ["o0", "o1"], [(1, 0, "a"), (0, 0, "b")]))
+def test_obs_pairs_and_cells_equal_the_per_object_loop(inst):
+    first, second = ref_obs_pairs(inst)
+    for got, want in zip(inst.obs_pairs, (first, second)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    cells, agree = inst.obs_pair_cells
+    want_cells = inst.obs_source[first] * inst.n_sources + inst.obs_source[second]
+    assert cells.dtype == want_cells.dtype
+    assert np.array_equal(cells, want_cells)
+    assert agree.dtype == bool
+    assert np.array_equal(agree, inst.obs_cand[first] == inst.obs_cand[second])
 
 
 @pytest.mark.parametrize("domain", [2, 3, 5, 8, 12])
