@@ -64,10 +64,8 @@ def estimate_avg_accuracy(instance: FusionInstance) -> float:
     if n < 2:
         raise ValueError("need at least two sources to estimate agreement")
     x = agreement_matrix(instance)
-    # Each overlapping pair of sources fills one cell above the diagonal of
-    # the cell counts and two entries of x.
-    cells = np.bincount(instance.obs_pair_cells[0], minlength=n * n)
-    overlapping = 2 * np.count_nonzero(cells)
+    # Each overlapping pair of sources owns one pair cell and two entries of x.
+    overlapping = 2 * np.count_nonzero(np.bincount(instance.obs_pair_cells[0]))
     mu = float(x.sum()) / overlapping if overlapping else 0.0
     m = instance.obs_counts
     pairs = m * (m - 1) // 2

@@ -1,7 +1,5 @@
 import itertools
 import logging
-import os
-import subprocess
 import sys
 import warnings
 
@@ -640,21 +638,6 @@ class TestEveryFitIsProximalFit:
         estimate_pair_state(sim.instance, LearnConfig())
         assert len(proximal_fit_calls) == 1
         assert proximal_fit_calls[0][0] > 0
-
-
-def test_import_loads_no_scipy():
-    # trustfuse runs on numpy alone: scipy.special by itself adds about 17 MB
-    # to the peak resident size of a process that runs `fuse`.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
-    )
-    code = (
-        "import sys, trustfuse, trustfuse.cli; sys.exit(any("
-        "m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
-    )
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestFitWeights:
