@@ -129,20 +129,25 @@ class PairEstimatorState:
     n_reduced_objects: int
 
 
-def _reduce_to_pairs(
+def _draw_pairs(
     instance: FusionInstance, rng: np.random.Generator
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Keep exactly two observations per object; drop objects with fewer."""
-    kept: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for o in range(instance.n_objects):
-        rows = instance.observers_of(o)
-        if rows.size < 2:
-            continue
-        if rows.size > 2:
-            pick = rng.choice(rows.size, size=2, replace=False)
-            rows = rows[np.sort(pick)]
-        kept.append((o, instance.obs_source[rows], instance.obs_cand[rows]))
-    return kept
+) -> tuple[np.ndarray, np.ndarray]:
+    """One uniformly drawn pair of observations of each object with at least
+    two, as observation indices (first, second) in observation order.
+    Objects with exactly two draw nothing; the others draw i among their m
+    observations and j among the other m - 1, each in one call."""
+    order, bounds = instance._obs_by_object
+    kept = np.flatnonzero(instance.obs_counts >= 2)
+    m = instance.obs_counts[kept]
+    lo = bounds[kept]
+    hi = lo + 1
+    big = m > 2
+    i = rng.integers(m[big])
+    j = rng.integers(m[big] - 1)
+    j += j >= i
+    hi[big] = lo[big] + np.maximum(i, j)
+    lo[big] += np.minimum(i, j)
+    return order[lo], order[hi]
 
 
 def estimate_pair_state(
@@ -161,24 +166,25 @@ def estimate_pair_state(
     if instance.n_features < 1:
         raise ValueError("the estimator fits feature weights; need features")
     rng = np.random.default_rng(config.seed)
-    pairs = _reduce_to_pairs(instance, rng)
-    if not pairs:
+    first, second = _draw_pairs(instance, rng)
+    n_o = first.size
+    if not n_o:
         raise ValueError("no object has two or more observations")
     n_s = instance.n_sources
-    n_o = len(pairs)
 
-    agree = np.array([1.0 if v[0] == v[1] else 0.0 for _, _, v in pairs])
+    agree = (instance.obs_cand[first] == instance.obs_cand[second]).astype(float)
     radicand = n_s * (n_s - 1) / n_o * float(np.sum(2.0 * agree - 1.0))
     a_e_hat = float(np.sqrt(max(0.0, radicand)))
     if a_e_hat == 0.0:
         raise ValueError("agreement indistinguishable from chance")
 
-    primary_counts = np.zeros(n_s)
-    a_counts = np.zeros(n_s)
-    for (o, srcs, _), ag in zip(pairs, agree):
-        primary = int(srcs[rng.integers(2)])
-        primary_counts[primary] += 1.0
-        a_counts[primary] += (2.0 * n_s * ag - (n_s - a_e_hat)) / (2.0 * a_e_hat)
+    primary = instance.obs_source[np.where(rng.integers(2, size=n_o), second, first)]
+    primary_counts = np.bincount(primary, minlength=n_s).astype(float)
+    a_counts = np.bincount(
+        primary,
+        weights=(2.0 * n_s * agree - (n_s - a_e_hat)) / (2.0 * a_e_hat),
+        minlength=n_s,
+    )
     # The binomial log-likelihood needs counts within [0, |O_s|].
     a_counts = np.clip(a_counts, 0.0, primary_counts)
 
@@ -197,7 +203,8 @@ def estimate_pair_state(
         0.0,
         0.0,
         config.max_inner_iters,
-        config.objective_tol * max(1.0, float(primary_counts.max())),
+        config.objective_tol,
+        primary_counts,
     )
     acc = _logistic(features @ w)
     accuracies = {instance.sources[s]: float(acc[s]) for s in range(n_s)}

@@ -4,9 +4,8 @@ Two losses over x = [w_s | w_pairs | w_k], one solver and one stopping rule.
 Every fit is proximal Newton (`proximal_fit`): the per-source binomial loss
 (`fit_erm_observation`, EM's M-step and the pair estimator in `analysis`)
 and the object loss (`fit_weights`: object ERM, as `fuse --algo erm` runs
-it, copying-pair weights and the lasso path). Every fit stops when its KKT
-residual (`_kkt_residual`) is at most ``objective_tol`` times the most
-observations one source has in the fit, and ``converged`` means that check
+it, copying-pair weights and the lasso path). Every fit stops on the KKT
+check that `proximal_fit` states, and ``converged`` means that check
 passed. All fits apply L1 to feature weights only and a ridge to intercepts
 and pair weights. Fits are full-batch and deterministic for a fixed data
 order and seed.
@@ -378,7 +377,8 @@ def proximal_fit(
     l1: float,
     l2: float,
     max_iters: int,
-    bound: float,
+    tol: float,
+    counts: np.ndarray,
 ) -> tuple[np.ndarray, Diagnostics]:
     """Minimize ``loss(w + F w_k) + l2 |w|^2 + l1 |w_k|_1`` over
     x = [w | w_k] by proximal Newton steps (Lee, Sun & Saunders 2014). The
@@ -392,15 +392,19 @@ def proximal_fit(
     or full H is inverted exactly; an H given as a `_CurvatureOperator`
     (copying pairs) is inverted on ``[g_w | H F]`` by `_jacobi_cg`.
 
-    ``converged`` means the `_kkt_residual`
+    The stopping rule of every fit: ``converged`` means the `_kkt_residual`
     ``max(|grad_w|_inf, |w_k - soft(w_k - grad_k, l1)|_inf)`` is at most
-    ``bound``. The fit stops there, after ``max_iters`` steps, or when the
-    line search finds no decrease.
+    ``tol * max(1, max(counts))``, where ``counts`` holds how many
+    observations each source has in the fit, so the bound grows with the
+    data as the loss does. The fit stops there, after ``max_iters`` steps,
+    or when the line search finds no decrease. A start that already passes
+    the check is returned after no step.
     """
     x = np.array(x0, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite initial point")
     n_s = features.shape[0]
+    bound = tol * max(1.0, float(np.max(counts, initial=0)))
 
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         w, v = x[:n_s], x[n_s:]
@@ -469,31 +473,6 @@ def proximal_fit(
     return x, Diagnostics(iterations=steps, objective=float(obj), converged=converged)
 
 
-def _fit_binomial(
-    features: np.ndarray,
-    correct: np.ndarray,
-    total: np.ndarray,
-    l1: float,
-    l2: float,
-    x0: np.ndarray,
-    max_iters: int,
-    tol: float,
-) -> tuple[np.ndarray, Diagnostics]:
-    """`proximal_fit` on the binomial loss of ``correct`` out of ``total``
-    per source, whose curvature in sigma is diagonal. The KKT bound is
-    ``tol`` times the most observations of one source (at least 1).
-    """
-    return proximal_fit(
-        x0,
-        lambda eta: _binomial_loss(eta, correct, total),
-        features,
-        l1,
-        l2,
-        max_iters,
-        tol * max(1.0, float(np.max(total, initial=0))),
-    )
-
-
 def _lasso_qp(q: np.ndarray, r: np.ndarray, v: np.ndarray, l1: float) -> np.ndarray:
     """Minimize ``r.(u - v) + (u - v)'q(u - v)/2 + l1 |u|_1`` over u.
 
@@ -557,9 +536,9 @@ def fit_weights(
     its curvature is a dense S x S matrix. With them the pair weights join
     the intercepts, and the curvature is a matrix-free operator, whose
     Newton systems conjugate gradients solves. ``converged`` means the KKT
-    residual (`_kkt_residual`), pair gradients included, is at most
-    ``objective_tol`` times the most labelled observations of any source (at
-    least 1), reached within ``max_inner_iters`` steps.
+    check of `proximal_fit`, pair gradients included, passed at
+    ``objective_tol`` within ``max_inner_iters`` steps; a source's count is
+    its label mass over the labelled objects it observes.
     """
     part, targets, obj_weight = _labelled_part(instance, targets)
     if not part.n_objects:
@@ -569,7 +548,6 @@ def fit_weights(
         weights=obj_weight[part.obs_object],
         minlength=part.n_sources,
     )
-    bound = config.objective_tol * max(1.0, float(np.max(labelled_obs)))
     layout = _Layout(instance)
     x, diag = proximal_fit(
         layout.pack(init if init is not None else WeightVector.zeros(instance)),
@@ -578,7 +556,8 @@ def fit_weights(
         config.l1_feature_penalty,
         config.l2_intercept_penalty,
         config.max_inner_iters,
-        bound,
+        config.objective_tol,
+        labelled_obs,
     )
     return layout.unpack(x), diag
 
@@ -604,10 +583,11 @@ def fit_erm_observation(
 ) -> tuple[WeightVector, Diagnostics]:
     """Regularized logistic regression on observation-correctness labels:
     the per-source binomial loss of each source's correct out of total
-    labelled observations, solved by proximal Newton (`_fit_binomial`).
+    labelled observations, solved by `proximal_fit`.
 
-    ``converged`` means the fit passed its scale-aware KKT check at
-    ``config.objective_tol`` within ``config.max_inner_iters`` steps.
+    ``converged`` means the fit passed `proximal_fit`'s KKT check at
+    ``config.objective_tol``, counting each source's labelled observations,
+    within ``config.max_inner_iters`` steps.
     """
     if len(ground_truth) == 0:
         raise ValueError("ERM requires at least one labeled object")
@@ -619,15 +599,15 @@ def fit_erm_observation(
     correct, total = label_correctness_counts(
         instance, ground_truth.validate(instance)
     )
-    x, diag = _fit_binomial(
+    x, diag = proximal_fit(
+        layout.pack(WeightVector.zeros(instance)),
+        lambda eta: _binomial_loss(eta, correct, total),
         instance.features,
-        correct,
-        total,
         config.l1_feature_penalty,
         config.l2_intercept_penalty,
-        layout.pack(WeightVector.zeros(instance)),
         config.max_inner_iters,
         config.objective_tol,
+        total,
     )
     return layout.unpack(x), diag
 
@@ -687,15 +667,15 @@ def fit_em(
             weights=q[instance.obs_cand],
             minlength=instance.n_sources,
         )
-        x, m_step = _fit_binomial(
+        x, m_step = proximal_fit(
+            x,
+            lambda eta: _binomial_loss(eta, correct, total),
             instance.features,
-            correct,
-            total,
             config.l1_feature_penalty,
             config.l2_intercept_penalty,
-            x,
             config.max_inner_iters,
             config.objective_tol,
+            total,
         )
         sigma = layout.unpack(x).trust_scores(instance.features)
         scores = _candidate_scores(instance, sigma, np.empty(0))

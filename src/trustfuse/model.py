@@ -139,12 +139,13 @@ def _candidate_scores(
 
     bincount adds each candidate's trust scores in observation order, the
     same additions as a scatter-add; the vote term is added to each sum.
+    On no observations bincount returns integers, hence the cast.
     """
     scores = np.bincount(
         instance.obs_cand,
         weights=sigma[instance.obs_source],
         minlength=instance.n_candidates,
-    )
+    ).astype(float, copy=False)
     scores += instance.cand_vote_term
     if instance.pairs:
         ev_obj, ev_cand, ev_pair = instance.pair_events

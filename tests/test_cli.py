@@ -464,6 +464,25 @@ class TestFuseCommand:
         else:
             assert result["optimizer"] is None
 
+    @pytest.mark.parametrize("algo", ["auto", "em", "counts", "majority", "erm"])
+    def test_header_only_observations(self, tmp_path, capsys, algo):
+        # Such a file loads as an instance with nothing in it. Every method
+        # but ERM, which needs a label, fuses it to empty results.
+        obs = tmp_path / "obs.csv"
+        obs.write_text("object_id,source_id,value\n")
+        out = tmp_path / "r.json"
+        code = run("fuse", "--observations", obs, "--algo", algo, "--out", out)
+        err = capsys.readouterr().err.splitlines()
+        if algo == "erm":
+            assert code == 1
+            assert err == ["error: ERM requires at least one labeled object"]
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert err == []
+            result = json.loads(out.read_text())
+            assert result["values"] == result["accuracies"] == {}
+
     def test_auto_on_one_labelled_source_runs_erm(self, tmp_path):
         obs = tmp_path / "obs.csv"
         obs.write_text("object_id,source_id,value\no0,s0,a\no1,s0,b\no2,s0,a\n")

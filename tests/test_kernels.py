@@ -18,13 +18,16 @@ from trustfuse import (
     FusionInstance,
     GroundTruth,
     InstanceError,
+    LearnConfig,
     add_copying_features,
     em_units,
     estimate_avg_accuracy,
+    estimate_pair_state,
     io,
     load_instance,
     posterior_all,
 )
+from trustfuse.analysis import _draw_pairs
 from trustfuse.instance import factorize
 from trustfuse.io import dump_json, round_floats, write_instance
 from trustfuse.learning import _lasso_qp, _soft_threshold
@@ -324,6 +327,34 @@ def ref_copying_pairs(instance, min_overlap):
         (i, j) for i in range(n) for j in range(i + 1, n)
         if overlap[i, j] >= min_overlap
     )
+
+
+def ref_pair_state(instance, seed):
+    """The pairwise estimator's per-object pair reduction and primary-source
+    loop: (a_e_hat, a_counts, primary_counts, objects kept)."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for o in range(instance.n_objects):
+        rows = instance.observers_of(o)
+        if rows.size < 2:
+            continue
+        if rows.size > 2:
+            pick = rng.choice(rows.size, size=2, replace=False)
+            rows = rows[np.sort(pick)]
+        pairs.append((instance.obs_source[rows], instance.obs_cand[rows]))
+    n_s = instance.n_sources
+    n_o = len(pairs)
+    agree = np.array([1.0 if v[0] == v[1] else 0.0 for _, v in pairs])
+    radicand = n_s * (n_s - 1) / n_o * float(np.sum(2.0 * agree - 1.0))
+    a_e_hat = float(np.sqrt(max(0.0, radicand)))
+    primary_counts = np.zeros(n_s)
+    a_counts = np.zeros(n_s)
+    for (srcs, _), ag in zip(pairs, agree):
+        primary = int(srcs[rng.integers(2)])
+        primary_counts[primary] += 1.0
+        a_counts[primary] += (2.0 * n_s * ag - (n_s - a_e_hat)) / (2.0 * a_e_hat)
+    a_counts = np.clip(a_counts, 0.0, primary_counts)
+    return a_e_hat, a_counts, primary_counts, n_o
 
 
 def ref_proximal_fit(x0, fg, l1, max_iters, tol, step_size=1.0):
@@ -818,6 +849,78 @@ def test_copying_pairs_and_events_equal_loops(domain, seed):
     assert events[0].size
     for got, want in zip(events, ref_pair_events(some)):
         assert np.array_equal(got, want)
+
+
+def shuffled_rows(inst, rng):
+    """The same instance with its observations in a random order."""
+    triples = inst.triples()
+    return FusionInstance.from_triples(
+        inst.sources, inst.objects,
+        [triples[k] for k in rng.permutation(len(triples))],
+        inst.features, inst.feature_names,
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_state_equals_the_per_object_loop_on_pair_samples(seed):
+    # Every object has exactly two observers, so no pair is drawn, and one
+    # primary draw per object must consume the rng as the scalar loop did.
+    sim = generate(SimConfig(n_sources=20, n_objects=600, pair_sampling=True,
+                             true_weights=(0.5, 0.8, 0.9), feature_density=0.5,
+                             seed=seed))
+    inst = shuffled_rows(sim.instance, np.random.default_rng(seed))
+    state = estimate_pair_state(inst, LearnConfig(seed=seed))
+    a_e_hat, a_counts, primary_counts, n_o = ref_pair_state(inst, seed)
+    assert state.a_e_hat == a_e_hat
+    assert np.array_equal(state.a_counts, a_counts)
+    assert np.array_equal(state.primary_counts, primary_counts)
+    assert state.n_reduced_objects == n_o == 600
+
+
+@pytest.fixture(scope="module")
+def four_observers():
+    """24 000 objects seen by 4 of 6 sources each, then 100 seen by 2 and 100
+    by 1, in shuffled rows; 80% of the votes are "a"."""
+    rng = np.random.default_rng(11)
+    per_object = np.repeat([4, 2, 1], [24_000, 100, 100])
+    obs_o = np.repeat(np.arange(per_object.size), per_object)
+    # An object's k-th observation comes from source (its first source + k) % 6.
+    starts = np.cumsum(per_object) - per_object
+    k = np.arange(obs_o.size) - np.repeat(starts, per_object)
+    obs_s = (rng.integers(6, size=per_object.size)[obs_o] + k) % 6
+    obs_v = (rng.random(obs_o.size) > 0.8).astype(np.int64)
+    perm = rng.permutation(obs_o.size)
+    return FusionInstance.from_columns(
+        [f"s{i}" for i in range(6)], [f"o{i}" for i in range(per_object.size)],
+        obs_o[perm], obs_s[perm], ["a", "b"], obs_v[perm],
+        rng.normal(size=(6, 2)), ("f0", "f1"),
+    )
+
+
+def test_pair_draw_is_uniform_and_in_observation_order(four_observers):
+    inst = four_observers
+    first, second = _draw_pairs(inst, np.random.default_rng(0))
+    kept = np.flatnonzero(inst.obs_counts >= 2)
+    assert np.array_equal(inst.obs_object[first], kept)
+    assert np.array_equal(inst.obs_object[second], kept)
+    assert np.all(first < second)
+    # Each observation's place among its object's observations, in order.
+    order, bounds = inst._obs_by_object
+    place = np.empty(inst.n_observations, dtype=np.int64)
+    place[order] = np.arange(order.size) - bounds[inst.obs_object[order]]
+    pair = place[first] * 4 + place[second]
+    four = inst.obs_counts[kept] == 4
+    assert np.all(pair[~four] == 1)
+    freq = np.bincount(pair[four], minlength=16)[[1, 2, 3, 6, 7, 11]] / four.sum()
+    assert freq.sum() == 1.0
+    # Five standard errors of a 1/6 frequency over 24 000 objects: 0.012.
+    np.testing.assert_allclose(freq, 1 / 6, atol=0.012)
+
+
+def test_pair_state_keeps_the_objects_with_two_observations(four_observers):
+    state = estimate_pair_state(four_observers, LearnConfig())
+    assert state.n_reduced_objects == 24_100
+    assert state.primary_counts.sum() == 24_100
 
 
 # -- CSV reading and JSON writing ---------------------------------------------

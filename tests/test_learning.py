@@ -29,7 +29,6 @@ from trustfuse.model import argmax_with_ties
 from trustfuse.learning import (
     _Layout,
     _binomial_loss,
-    _fit_binomial,
     _labelled_part,
     _object_sigma_loss,
     _soft_threshold,
@@ -258,7 +257,7 @@ class TestFitErmObservation:
 
 
 class TestFitBinomial:
-    """The proximal Newton solver behind both binomial-loss fits."""
+    """`proximal_fit` on the binomial loss, as both binomial-loss fits run it."""
 
     L2 = 0.01
 
@@ -288,6 +287,10 @@ class TestFitBinomial:
         return fg
 
     @staticmethod
+    def loss(correct, total):
+        return lambda eta: _binomial_loss(eta, correct, total)
+
+    @staticmethod
     def kkt_residual(fg, x, n_s, l1):
         _, g = fg(x)
         v = x[n_s:]
@@ -297,8 +300,9 @@ class TestFitBinomial:
     def lambda_max(self, inst, correct, total):
         # The smallest L1 at which all feature weights are 0: the largest
         # feature gradient at the intercept-only optimum.
-        w, diag = _fit_binomial(inst.features[:, :0], correct, total, 0.0,
-                                self.L2, np.zeros(inst.n_sources), 100, 1e-12)
+        w, diag = proximal_fit(np.zeros(inst.n_sources), self.loss(correct, total),
+                               inst.features[:, :0], 0.0, self.L2, 100, 1e-12,
+                               total)
         assert diag.converged
         _, g_eta, _ = _binomial_loss(w, correct, total)
         return float(np.max(np.abs(inst.features.T @ g_eta)))
@@ -312,8 +316,8 @@ class TestFitBinomial:
         fg = self.smooth_loss(inst, correct, total, self.L2)
         x0 = np.zeros(layout.size)
         tol = 1e-10
-        x, diag = _fit_binomial(inst.features, correct, total, l1, self.L2,
-                                x0, 100, tol)
+        x, diag = proximal_fit(x0, self.loss(correct, total), inst.features, l1,
+                               self.L2, 100, tol, total)
         x_ref = fista_reference(fg, x0, l1_vector(layout, l1))
 
         def objective(z):
@@ -331,8 +335,8 @@ class TestFitBinomial:
     def test_one_step_from_zeros_is_not_converged(self, problem):
         inst, correct, total = problem
         x0 = np.zeros(inst.n_sources + inst.n_features)
-        _, diag = _fit_binomial(inst.features, correct, total, 0.1, self.L2,
-                                x0, 1, 1e-6)
+        _, diag = proximal_fit(x0, self.loss(correct, total), inst.features, 0.1,
+                               self.L2, 1, 1e-6, total)
         assert diag.iterations == 1
         assert not diag.converged
 
@@ -345,8 +349,8 @@ class TestFitBinomial:
         x0[inst.n_sources:] = 0.5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, diag = _fit_binomial(inst.features, correct, total, l1, 0.0,
-                                    x0, 50, 1e-6)
+            x, diag = proximal_fit(x0, self.loss(correct, total), inst.features,
+                                   l1, 0.0, 50, 1e-6, total)
         assert np.all(np.isfinite(x))
         assert np.isfinite(diag.objective)
         if l1:
@@ -359,7 +363,30 @@ class TestFitBinomial:
         x0 = np.zeros(inst.n_sources + inst.n_features)
         x0[0] = np.nan
         with pytest.raises(ValueError):
-            _fit_binomial(inst.features, correct, total, 0.0, self.L2, x0, 10, 1e-6)
+            proximal_fit(x0, self.loss(correct, total), inst.features, 0.0,
+                         self.L2, 10, 1e-6, total)
+
+    def test_zero_counts_scale_the_bound_by_one(self, problem):
+        # With no step allowed, the fit is converged exactly when the start's
+        # KKT residual r is at most tol * max(1, max(counts)).
+        inst, correct, total = problem
+        n_s = inst.n_sources
+        x0 = np.zeros(n_s + inst.n_features)
+        fg = self.smooth_loss(inst, correct, total, self.L2)
+        r = self.kkt_residual(fg, x0, n_s, 0.0)
+
+        def converged(tol, counts):
+            _, diag = proximal_fit(x0, self.loss(correct, total), inst.features,
+                                   0.0, self.L2, 0, tol, counts)
+            assert diag.iterations == 0
+            return diag.converged
+
+        zeros = np.zeros(n_s)
+        assert converged(r, zeros)
+        assert not converged(np.nextafter(r, 0.0), zeros)
+        assert converged(r, np.full(n_s, 0.5))
+        assert not converged(r / 2.0, zeros)
+        assert converged(r / 2.0, np.full(n_s, 2.0))
 
 
 class TestObjectNewton:
@@ -460,7 +487,8 @@ class TestObjectNewton:
         x0 = np.zeros(inst.n_sources + inst.n_features)
         x0[0] = np.nan
         with pytest.raises(ValueError):
-            proximal_fit(x0, loss, inst.features, 0.0, self.L2, 10, 1e-6)
+            proximal_fit(x0, loss, inst.features, 0.0, self.L2, 10, 1e-6,
+                         np.ones(inst.n_sources))
 
     @pytest.mark.parametrize("l1", [0.0, 0.1])
     def test_no_ridge_with_an_unlabelled_source_gives_finite_weights(
