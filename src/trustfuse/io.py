@@ -252,7 +252,8 @@ def read_features(path: str | Path) -> tuple[tuple[str, ...], dict[str, np.ndarr
     """Read a features CSV: the feature names, and each source's feature row
     keyed by source id in file order.
 
-    Rule violations raise InstanceError naming the file, line, and rule.
+    Rule violations raise InstanceError naming the file, line, and rule; the
+    first row that breaks a rule is the one reported.
     """
     path = Path(path)
     header, rows = _read_rows(path, 1)
@@ -264,32 +265,8 @@ def read_features(path: str | Path) -> tuple[tuple[str, ...], dict[str, np.ndarr
         raise InstanceError(
             f"{path}, line 1: header repeats feature name {repeated[0]!r}"
         )
-    # With no repeated source, the distinct sources are the rows in order.
-    sources = rows.columns[0][0]
-    try:
-        values = np.array(
-            [
-                np.fromiter(map(float, distinct), float, len(distinct))[codes]
-                for distinct, codes in rows.columns[1:]
-            ]
-        )
-    except ValueError:
-        values = None
-    if (
-        values is None
-        or not np.isfinite(values).all()
-        or set(rows.widths) - {len(header)}
-        or len(sources) < len(rows)
-    ):
-        _raise_feature_row_error(path, header, rows)
-    table = np.ascontiguousarray(values.reshape(len(names), len(sources)).T)
-    return names, dict(zip(sources, table))
-
-
-def _raise_feature_row_error(path: Path, header: list[str], rows: _Rows) -> None:
-    """Raise the error of the first features row that breaks a rule."""
-    names = header[1:]
     line_of: dict[str, int] = {}
+    values: list[float] = []
     columns = map(rows.cells, range(len(rows.columns)))
     for lineno, width, src, *cells in zip(rows.lines, rows.widths, *columns):
         if src in line_of:
@@ -314,6 +291,9 @@ def _raise_feature_row_error(path: Path, header: list[str], rows: _Rows) -> None
                     f"{path}, line {lineno}: {kind} feature value "
                     f"{cell!r} for {name!r}"
                 )
+            values.append(value)
+    table = np.array(values).reshape(len(line_of), len(names))
+    return names, dict(zip(line_of, table))
 
 
 def load_instance(

@@ -249,6 +249,20 @@ class TestLoaderRules:
                          features=f"source_id,f0,f1\ns0,1,2\n\n{row}\n")
         assert msg == f"features.csv, line 4: expected 3 columns, got {width}"
 
+    @pytest.mark.parametrize("rows, error", [
+        ("s0,1,2\ns1,oops,2\ns0,3,4\n",
+         "non-numeric feature value 'oops' for 'f0'"),
+        ("s0,1,2\ns0,3,4\ns1,oops,2\n",
+         "duplicate features for source 's0' (first at line 2)"),
+        # The ragged row sends the file through csv.reader.
+        ("s0,1,2\ns1,1\ns2,nan,1\n", "expected 3 columns, got 2"),
+    ])
+    def test_features_first_faulty_line_wins_across_rules(self, tmp_path, rows,
+                                                          error):
+        msg = load_error(tmp_path, self.HEADER + "o0,s0,a\no0,s1,b\n",
+                         features="source_id,f0,f1\n" + rows)
+        assert msg == f"features.csv, line 3: {error}"
+
     @pytest.mark.parametrize("quote", ["", '"'])
     def test_cell_over_the_field_size_limit_is_one_error_line(self, tmp_path, capsys,
                                                              quote):

@@ -1089,6 +1089,62 @@ def test_a_column_of_one_run_is_one_code(tmp_path, cell):
     assert codes.dtype == np.int64 and codes.tolist() == [0] * 50
 
 
+# Numeric cells come three times as often as the ones that break a rule.
+FEATURE_CELLS = ("1", "-2.5", " 3 ", "1e3", "0") * 3 + ("nan", "inf", "", "oops")
+
+
+@st.composite
+def features_records(draw):
+    """The records of a features CSV as lists of cells: a header of
+    source_id (or not) and up to three feature names, some repeated or
+    padded, then rows of any width, blank ones included, with repeated and
+    padded sources and numeric, non-finite, empty and non-numeric cells."""
+    first = draw(st.sampled_from(("source_id",) * 3 + (" source_id ", "source")))
+    names = draw(st.lists(st.sampled_from(("f0", "f1", " f1", "f2 ")), max_size=3,
+                          unique=True))
+    cell = st.sampled_from(FEATURE_CELLS)
+    values = st.one_of(
+        st.lists(cell, min_size=len(names), max_size=len(names)),
+        st.lists(cell, max_size=4),
+    )
+    row = st.tuples(st.sampled_from(("s0", " s0", "s1", "s2 ", "é")), values)
+    rows = draw(st.lists(st.one_of(row.map(lambda r: [r[0], *r[1]]), st.just([])),
+                         max_size=8))
+    return [[first, *names], *rows]
+
+
+def read_features_lists(path):
+    names, table = io.read_features(path)
+    return names, list(table), [row.tolist() for row in table.values()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=features_records())
+@example(records=[["source_id", "f0", "f1"]])
+@example(records=[["source_id"], ["s0"], [" s1"]])
+def test_features_read_alike_by_bytes_and_by_csv_reader(tmp_path_factory, records):
+    # The all-quoted copy goes through csv.reader; the plain file takes the
+    # byte path unless it has blank records or rows of differing widths.
+    path = tmp_path_factory.getbasetemp() / "features.csv"
+    outcomes = []
+    for quote in ("", '"'):
+        path.write_text("".join(
+            ",".join(f"{quote}{c}{quote}" for c in record) + "\n" for record in records
+        ), encoding="utf-8")
+        outcomes.append(outcome(read_features_lists, path))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_features_without_rows_or_columns_load_as_zero_columns(tmp_path):
+    obs = tmp_path / "observations.csv"
+    obs.write_text("object_id,source_id,value\no0,s0,a\no0,s1,b\n")
+    feats = tmp_path / "features.csv"
+    for text, shape in (("source_id,f0,f1\n", (2, 2)), ("source_id\ns0\n", (2, 0))):
+        feats.write_text(text)
+        inst, _ = load_instance(obs, feats)
+        assert inst.features.shape == shape and not inst.features.any()
+
+
 def test_factorize_merges_cells_that_trim_alike():
     cells = ["b ", "a", " b", "b", "a ", "c"]
     distinct, codes = factorize(cells + ["a"])
