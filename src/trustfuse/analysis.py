@@ -110,11 +110,9 @@ def add_copying_features(
     """
     if min_overlap < 1:
         raise ValueError("min_overlap must be at least 1")
-    n = instance.n_sources
-    # Each co-observed object contributes one (i, j) cell, i < j.
-    keys, overlap = np.unique(instance.obs_pair_cells[0], return_counts=True)
-    keys = keys[overlap >= min_overlap]
-    return instance.with_pairs(list(zip((keys // n).tolist(), (keys % n).tolist())))
+    # The counts lie above the diagonal, so each pair comes once, as i < j.
+    i, j = np.nonzero(instance.pair_counts[0] >= min_overlap)
+    return instance.with_pairs(list(zip(i.tolist(), j.tolist())))
 
 
 @dataclass(frozen=True)

@@ -339,6 +339,24 @@ class FusionInstance:
     def source_obs_counts(self) -> np.ndarray:
         return np.bincount(self.obs_source, minlength=self.n_sources)
 
+    # The vote incidence A (candidates x sources, one 1 per observation):
+    # the scores are A sigma, and each per-source tally is A' of a
+    # per-candidate array. bincount adds in observation order, as a
+    # scatter-add does; on no observations it gives integers, hence asarray.
+
+    def candidate_sums(self, source_values: np.ndarray) -> np.ndarray:
+        """A x, as float64: each candidate's sum of ``source_values`` over
+        the sources that vote for it."""
+        x = source_values[self.obs_source]
+        return np.asarray(np.bincount(self.obs_cand, x, self.n_candidates), float)
+
+    def source_sums(self, cand_values: np.ndarray) -> np.ndarray:
+        """A' y, as float64: each source's sum of ``cand_values`` over the
+        candidates it votes for; ``y = x[cand_object]`` sums a per-object
+        ``x`` over the objects each source observes."""
+        y = cand_values[self.obs_cand]
+        return np.asarray(np.bincount(self.obs_source, y, self.n_sources), float)
+
     @cached_property
     def _pair_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The one vote-pair incidence that `obs_pairs` and `obs_pair_cells`
@@ -384,6 +402,18 @@ class FusionInstance:
         cells = np.repeat(source * self.n_sources, n_after)
         cells += source[second]
         return cells, np.repeat(cand, n_after) == cand[second]
+
+    @cached_property
+    def pair_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two S x S arrays, filled above the diagonal: the objects each pair
+        of sources observes together, and the objects on which the pair's
+        votes agree (as float64). Tallied once from `obs_pair_cells`."""
+        n = self.n_sources
+        cells, agree = self.obs_pair_cells
+        shared = np.bincount(cells, minlength=n * n).reshape(n, n)
+        # Weighting by the flags counts the agreeing pairs without a masked copy.
+        agreed = np.bincount(cells, weights=agree, minlength=n * n).reshape(n, n)
+        return shared, agreed
 
     @cached_property
     def pair_events(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -567,7 +597,7 @@ def correctness_counts(
     instance: FusionInstance, labels: GroundTruth
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-source (correct, total) counts over the observations of labelled
-    objects.
+    objects, as float64.
 
     An observation is correct when it reports its object's label, so a
     label that no source reported counts as wrong for every reporter.
@@ -578,11 +608,14 @@ def correctness_counts(
 def label_correctness_counts(
     instance: FusionInstance, label_cand: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`correctness_counts` from a `GroundTruth.label_candidates` index."""
-    label_cand = label_cand[instance.obs_object]
-    n = instance.n_sources
-    total = np.bincount(instance.obs_source[label_cand != _UNLABELLED], minlength=n)
-    correct = np.bincount(
-        instance.obs_source[instance.obs_cand == label_cand], minlength=n
+    """`correctness_counts` from a `GroundTruth.label_candidates` index: the
+    `FusionInstance.source_sums` of the one-hot labels and of the labelled
+    objects, the hard case of EM's expected counts. Sums of ones, so the
+    counts are exact."""
+    labels = np.zeros(instance.n_candidates)
+    labels[label_cand[label_cand >= 0]] = 1.0
+    labelled = label_cand != _UNLABELLED
+    return (
+        instance.source_sums(labels),
+        instance.source_sums(labelled[instance.cand_object]),
     )
-    return correct, total

@@ -152,12 +152,7 @@ def _cross_entropy(
     probs = _softmax_by_object(scores, instance)
     loss = -float(targets @ np.log(np.maximum(probs, 1e-300)))
     residual = incl_cand * probs - targets
-    g_sigma = np.bincount(
-        instance.obs_source,
-        weights=residual[instance.obs_cand],
-        minlength=instance.n_sources,
-    )
-    return loss, probs, residual, g_sigma
+    return loss, probs, residual, instance.source_sums(residual)
 
 
 def _labelled_part(
@@ -217,8 +212,7 @@ def _object_sigma_loss(
         mass_p = incl_cand * probs
         pair_w = mass_p[cand_f] * (agree - probs[cand_s])
         upper = np.bincount(cells, weights=pair_w, minlength=n_s**2).reshape(n_s, n_s)
-        own_w = (mass_p * (1.0 - probs))[instance.obs_cand]
-        d = np.bincount(instance.obs_source, weights=own_w, minlength=n_s)
+        d = instance.source_sums(mass_p * (1.0 - probs))
         return value, g_sigma, upper + upper.T + np.diag(d)
 
     return loss
@@ -543,11 +537,7 @@ def fit_weights(
     part, targets, obj_weight = _labelled_part(instance, targets)
     if not part.n_objects:
         raise ValueError("targets must cover at least one object")
-    labelled_obs = np.bincount(
-        part.obs_source,
-        weights=obj_weight[part.obs_object],
-        minlength=part.n_sources,
-    )
+    labelled_obs = part.source_sums(obj_weight[part.cand_object])
     layout = _Layout(instance)
     x, diag = proximal_fit(
         layout.pack(init if init is not None else WeightVector.zeros(instance)),
@@ -634,9 +624,10 @@ def fit_em(
     majority vote with seeded ties.
 
     ``history`` holds the penalized marginal log-likelihood after each
-    M-step, which does not decrease. EM stops, with ``converged`` set, when
-    it changes by at most ``objective_tol`` relative to its last value, or
-    after one M-step when every object is labelled. The returned table is
+    M-step, which does not decrease. EM stops when it changes by at most
+    ``objective_tol`` relative to its last value, or after one M-step when
+    every object is labelled; ``converged`` is set if it stopped there and
+    that last M-step passed its KKT check. The returned table is
     the last E-step's posterior, with labelled objects clamped; its other
     rows equal `posterior_all` at the returned weights. Each outer
     iteration logs one DEBUG line to the ``trustfuse`` logger: the
@@ -662,11 +653,7 @@ def fit_em(
     history: list[float] = []
     converged = False
     for outer in range(1, config.max_outer_iters + 1):
-        correct = np.bincount(
-            instance.obs_source,
-            weights=q[instance.obs_cand],
-            minlength=instance.n_sources,
-        )
+        correct = instance.source_sums(q)
         x, m_step = proximal_fit(
             x,
             lambda eta: _binomial_loss(eta, correct, total),
@@ -705,7 +692,7 @@ def fit_em(
             m_step.converged,
         )
         if settled or clamped_obj.all():
-            converged = True
+            converged = m_step.converged
             break
     diag = Diagnostics(
         iterations=outer,

@@ -135,17 +135,10 @@ def candidate_scores(instance: FusionInstance, w: WeightVector) -> np.ndarray:
 def _candidate_scores(
     instance: FusionInstance, sigma: np.ndarray, pair_weights: np.ndarray
 ) -> np.ndarray:
-    """`candidate_scores` from per-source trust scores and pair weights.
-
-    bincount adds each candidate's trust scores in observation order, the
-    same additions as a scatter-add; the vote term is added to each sum.
-    On no observations bincount returns integers, hence the cast.
-    """
-    scores = np.bincount(
-        instance.obs_cand,
-        weights=sigma[instance.obs_source],
-        minlength=instance.n_candidates,
-    ).astype(float, copy=False)
+    """`candidate_scores` from per-source trust scores and pair weights:
+    each candidate's `FusionInstance.candidate_sums` of the trust scores,
+    plus its vote term."""
+    scores = instance.candidate_sums(sigma)
     scores += instance.cand_vote_term
     if instance.pairs:
         ev_obj, ev_cand, ev_pair = instance.pair_events

@@ -38,15 +38,10 @@ class OptimizerDecision:
 
 def agreement_matrix(instance: FusionInstance) -> np.ndarray:
     """Mean pairwise agreement-minus-disagreement; 0 where no overlap."""
-    n = instance.n_sources
-    # One cell per pair of observations of one object, above the diagonal.
-    keys, same = instance.obs_pair_cells
-    cnt = np.bincount(keys, minlength=n * n).reshape(n, n)
-    # Weighting by the flags counts the agreeing pairs without a masked copy.
-    agree = np.bincount(keys, weights=same, minlength=n * n).reshape(n, n)
-    cnt = cnt + cnt.T
+    shared, agree = instance.pair_counts
+    cnt = shared + shared.T
     # The numerator is 0 wherever cnt is, so pairs with no overlap and the
-    # diagonal (the cells lie above it) get 0.
+    # diagonal (the counts lie above it) get 0.
     return (2 * (agree + agree.T) - cnt) / np.maximum(cnt, 1.0)
 
 
@@ -60,12 +55,11 @@ def estimate_avg_accuracy(instance: FusionInstance) -> float:
     pairs that never overlap carry no evidence, and the mean is 0 when no
     pair overlaps. Object o holds m_o (m_o - 1) / 2 vote pairs, so c is a
     sum over the objects, not over the pairs."""
-    n = instance.n_sources
-    if n < 2:
+    if instance.n_sources < 2:
         raise ValueError("need at least two sources to estimate agreement")
     x = agreement_matrix(instance)
-    # Each overlapping pair of sources owns one pair cell and two entries of x.
-    overlapping = 2 * np.count_nonzero(np.bincount(instance.obs_pair_cells[0]))
+    # Each overlapping pair of sources owns one count and two entries of x.
+    overlapping = 2 * np.count_nonzero(instance.pair_counts[0])
     mu = float(x.sum()) / overlapping if overlapping else 0.0
     m = instance.obs_counts
     pairs = m * (m - 1) // 2
@@ -111,8 +105,9 @@ def majority_success_probability(m, domain_size, accuracy: float):
     if np.any(m < 1) or np.any(domain_size < 1):
         raise ValueError("object must have observations and a non-empty domain")
     k = np.minimum(m // domain_size, m - 1)
-    if accuracy in (0.0, 1.0):
+    if accuracy in (0.0, 1.0) or not k.size:
         # The tail starts at 1 <= k + 1 <= m: all mass sits at 0 or at m.
+        # With no objects there is no tail to sum.
         p = np.full(k.shape, float(accuracy))
         return p if p.ndim else float(p)
     sizes, which = np.unique(np.broadcast_to(m, k.shape), return_inverse=True)
@@ -175,12 +170,9 @@ def decide(
 
     avg_acc: float | None = None
     units_em: float | None = None
-    try:
+    if instance.n_sources >= 2:
         avg_acc = estimate_avg_accuracy(instance)
         units_em = em_units(instance, min(avg_acc, 1.0 - 1e-12))
-    except ValueError:
-        avg_acc = None
-        units_em = None
 
     if n_g > 0 and bound <= tau:
         choice = "ERM"

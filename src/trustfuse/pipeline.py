@@ -6,16 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import counts_fit, counts_infer, majority_vote
+from .baselines import counts_fit, majority_vote
 from .instance import FusionInstance, GroundTruth
 from .learning import LearnConfig, fit_em, fit_erm_object
-from .model import (
-    Diagnostics,
-    WeightVector,
-    map_values,
-    source_accuracies,
-    trust_score,
-)
+from .model import Diagnostics, WeightVector, map_values, source_accuracies
 from .optimizer import DEFAULT_TAU, OptimizerDecision, check_tau, decide
 
 __all__ = ["FusionResult", "fuse"]
@@ -44,7 +38,7 @@ def fuse(
 
     Every labelled object keeps its label, whatever the algorithm; ties in
     inference are broken with ``config.seed``. Counts accuracies become
-    source intercepts through `trust_score`, majority vote gets zero weights.
+    source intercepts by their log-odds, majority vote gets zero weights.
 
     The labels are checked once by whichever function reads them (`decide`
     and the learners); majority vote reads none, so that branch checks them
@@ -59,21 +53,21 @@ def fuse(
     diagnostics = Diagnostics(iterations=0, objective=0.0, converged=True)
     if algo == "erm":
         weights, diagnostics = fit_erm_object(instance, truth, config)
-        values = map_values(instance, weights, config.seed)
     elif algo == "em":
         weights, _, diagnostics = fit_em(instance, truth, config)
-        values = map_values(instance, weights, config.seed)
     elif algo == "counts":
         counted = counts_fit(instance, truth)
-        intercepts = [trust_score(counted[s]) for s in instance.sources]
-        weights = WeightVector(np.array(intercepts), np.zeros(instance.n_features))
-        values = counts_infer(instance, counted, seed=config.seed)
+        a = np.array([counted[s] for s in instance.sources])
+        weights = WeightVector(np.log(a / (1.0 - a)), np.zeros(instance.n_features))
     elif algo == "majority":
         truth.validate(instance)
         weights = WeightVector.zeros(instance)
-        values = majority_vote(instance, seed=config.seed)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
+    if algo == "majority":
+        values = majority_vote(instance, seed=config.seed)
+    else:
+        values = map_values(instance, weights, config.seed)
     for o, value in truth.labels.items():
         values[instance.objects[o]] = value
     acc = source_accuracies(weights, instance.features)

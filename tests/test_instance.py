@@ -109,5 +109,6 @@ def test_correctness_counts_match_loop_over_observations(rng):
             if o in labels:
                 ref_total[s] += 1
                 ref_correct[s] += value == labels[o]
+        assert correct.dtype == total.dtype == np.float64
         assert np.array_equal(correct, ref_correct)
         assert np.array_equal(total, ref_total)

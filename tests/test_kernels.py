@@ -799,6 +799,38 @@ def test_obs_pairs_and_cells_equal_the_per_object_loop(inst):
     assert np.array_equal(agree, inst.obs_cand[first] == inst.obs_cand[second])
 
 
+@settings(max_examples=300, deadline=None)
+@given(pair_instances(), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_incidence_sums_and_pair_counts_equal_loops(inst, seed, min_overlap):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=inst.n_sources)
+    y = rng.normal(size=inst.n_candidates)
+    # A x and A' y, one observation at a time in observation order: the
+    # additions bincount makes, so the sums agree bit for bit.
+    want_cand, want_source = np.zeros(inst.n_candidates), np.zeros(inst.n_sources)
+    for s, c in zip(inst.obs_source.tolist(), inst.obs_cand.tolist()):
+        want_cand[c] += x[s]
+        want_source[s] += y[c]
+    for got, want in ((inst.candidate_sums(x), want_cand),
+                      (inst.source_sums(y), want_source)):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+    n = inst.n_sources
+    shared, agreed = np.zeros((n, n), dtype=np.int64), np.zeros((n, n))
+    for i, j in zip(*(pairs.tolist() for pairs in ref_obs_pairs(inst))):
+        s, t = inst.obs_source[i], inst.obs_source[j]
+        shared[s, t] += 1
+        agreed[s, t] += inst.obs_cand[i] == inst.obs_cand[j]
+    got_shared, got_agreed = inst.pair_counts
+    assert np.array_equal(got_shared, shared)
+    assert np.array_equal(got_agreed, agreed)
+    registered = tuple(
+        (s, t) for s in range(n) for t in range(s + 1, n)
+        if shared[s, t] >= min_overlap
+    )
+    assert add_copying_features(inst, min_overlap).pairs == registered
+
+
 @pytest.mark.parametrize("domain", [2, 3, 5, 8, 12])
 def test_scores_and_posteriors_match_scatter_reference(domain):
     inst, _ = simulated(domain, seed=domain)

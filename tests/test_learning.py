@@ -871,6 +871,31 @@ class TestFitEm:
         assert diag.converged
         assert diag.iterations == 1
 
+    @pytest.mark.parametrize("max_inner_iters", [0, 1, 2])
+    def test_fully_labelled_em_converges_only_with_its_m_step(self, max_inner_iters):
+        # Every object labelled: EM stops after one M-step, which a cap of
+        # 0-2 Newton steps leaves short of the optimum that 500 reach.
+        sim = generate(SimConfig(n_sources=20, n_objects=200, density=0.9, seed=1))
+        gt = sim.truth.restricted_to_domains(sim.instance)
+        assert len(gt) == sim.instance.n_objects
+        capped = LearnConfig(max_inner_iters=max_inner_iters, seed=1)
+        _, _, short = fit_em(sim.instance, gt, capped)
+        _, _, full = fit_em(sim.instance, gt, LearnConfig(seed=1))
+        assert short.iterations == full.iterations == 1
+        assert short.objective < full.objective
+        assert full.converged and not short.converged
+
+    def test_em_settled_without_m_steps_is_not_converged(self):
+        # No Newton step leaves x at 0, so the history is flat and EM
+        # settles after two iterations; the M-steps never passed KKT.
+        sim = generate(SimConfig(n_sources=20, n_objects=200, density=0.9, seed=1))
+        gt = sim.truth.restricted_to_domains(sim.instance)
+        few = GroundTruth(dict(list(gt.labels.items())[:10]))
+        _, _, diag = fit_em(sim.instance, few, LearnConfig(max_inner_iters=0, seed=1))
+        assert diag.iterations == 2
+        assert diag.history[0] == diag.history[1]
+        assert not diag.converged
+
     def test_unsupervised_recovery_on_sparse_binary(self):
         sim = generate(
             SimConfig(

@@ -8,10 +8,13 @@ from trustfuse import (
     FusionInstance,
     GroundTruth,
     InstanceError,
+    LearnConfig,
     decide,
     em_units,
     estimate_avg_accuracy,
+    fuse,
     ground_truth_units,
+    optimizer,
 )
 from trustfuse.optimizer import majority_success_probability, _entropy_bits
 from trustfuse.simulation import SimConfig, generate
@@ -186,6 +189,10 @@ class TestMajoritySuccessProbability:
                 )
                 assert isinstance(one, float) and got[idx] == one
 
+    def test_no_objects_give_an_empty_array(self):
+        got = majority_success_probability(np.zeros(0, int), np.zeros(0, int), 0.7)
+        assert got.shape == (0,) and got.dtype == float
+
     @pytest.mark.parametrize("m, domain", [(0, 2), (3, 0), (np.array([2, 0]), 2)])
     def test_rejects_empty_objects_and_domains(self, m, domain):
         with pytest.raises(ValueError):
@@ -285,6 +292,28 @@ class TestDecide:
         assert d.erm_bound > d.tau
         assert d.em_units is None and d.estimated_avg_accuracy is None
         assert d.choice == "ERM"
+
+    def test_other_value_errors_are_not_read_as_too_few_sources(self, monkeypatch):
+        # Only fewer than two sources leaves the EM units unestimated; any
+        # other failure of the estimate is raised, not turned into ERM.
+        def fail(*args):
+            raise ValueError("estimate failed")
+
+        monkeypatch.setattr(optimizer, "em_units", fail)
+        sim = generate(SimConfig(n_sources=15, n_objects=60, density=0.2, seed=3))
+        labels = sim.truth.restricted_to_domains(sim.instance).labels
+        gt = GroundTruth(dict(list(labels.items())[:2]))
+        with pytest.raises(ValueError, match="estimate failed"):
+            decide(sim.instance, gt, tau=0.1)
+
+    def test_sources_without_objects_pick_em(self):
+        inst = FusionInstance.from_columns(["a", "b"], [], [], [], [], [])
+        d = decide(inst, GroundTruth({}), tau=0.1)
+        assert d.choice == "EM"
+        assert d.em_units == 0.0 and d.ground_truth_units == 0.0
+        result = fuse(inst, GroundTruth({}), "auto", LearnConfig())
+        assert result.algorithm_used == "EM" and result.values == {}
+        assert result.accuracies == {"a": 0.5, "b": 0.5}
 
     def test_deterministic(self):
         sim = generate(SimConfig(n_sources=15, n_objects=60, density=0.2, seed=3))
