@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -124,6 +124,44 @@ def _first_repeat(keys: np.ndarray) -> tuple[int, int] | None:
     return int(first[group[i]]), i
 
 
+# `FusionInstance.from_columns` finds candidates through a table over the
+# (object, value code) key range when it has at most this many cells per
+# observation, and by sorting (`group_keys`) otherwise.
+_TABLE_CELLS_PER_OBSERVATION = 1
+
+
+def _first_of_keys(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """`group_keys` of ``keys``, each in ``[0, n_keys)``, through a table of
+    each key's first row: one `np.minimum.at` over the rows, then O(n_keys)
+    to number the keys present, in key order."""
+    table = np.full(n_keys, keys.size, dtype=np.int64)
+    np.minimum.at(table, keys, np.arange(keys.size))
+    present = table < keys.size
+    group_of_key = np.cumsum(present) - 1
+    return group_of_key[keys], table[present]
+
+
+def _index_column(name: str, column: Sequence | np.ndarray, n: int) -> np.ndarray:
+    """``column`` as int64 indices into ``n`` items. An entry that is not an
+    integer, or is outside ``[0, n)``, raises InstanceError naming the
+    column and the first such entry; the error is located only once a
+    whole-column test fails."""
+    idx = np.asarray(column)
+    if idx.dtype.kind not in "biuf":
+        idx = idx.astype(np.int64)
+    if not idx.size:
+        return idx.astype(np.int64)
+    if idx.dtype.kind == "f":
+        whole = np.isfinite(idx) & (np.trunc(idx) == idx)
+        if not whole.all():
+            bad = idx[np.argmin(whole)]
+            raise InstanceError(f"{name} index {bad} is not an integer")
+    if idx.min() < 0 or idx.max() >= n:
+        bad = idx[np.flatnonzero((idx < 0) | (idx >= n))[0]]
+        raise InstanceError(f"{name} index {int(bad)} out of range")
+    return idx.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class FusionInstance:
     """Sources, objects, observations and candidates, index-based and flat.
@@ -165,13 +203,12 @@ class FusionInstance:
         triples = list(triples)
         if set(map(len, triples)) - {3}:
             raise InstanceError("every triple must be (object, source, value)")
-        n = len(triples)
         values, obs_value = factorize(list(map(itemgetter(2), triples)))
         return cls.from_columns(
             sources,
             objects,
-            np.fromiter(map(itemgetter(0), triples), np.int64, n),
-            np.fromiter(map(itemgetter(1), triples), np.int64, n),
+            np.array(list(map(itemgetter(0), triples))),
+            np.array(list(map(itemgetter(1), triples))),
             values,
             obs_value,
             features,
@@ -193,27 +230,25 @@ class FusionInstance:
         """Build an instance from observation columns: observation i is
         (``obs_object[i]``, ``obs_source[i]``, ``values[obs_value[i]]``).
 
-        Rejects out-of-range indices, then duplicate (object, source) pairs
-        (the error's ``positions`` are the first observation and its
-        repeat), then objects with zero observations, then non-finite
-        feature values. Each object's candidates come in the order its
-        observations first report them.
+        Rejects indices that are not integers or are out of range (each
+        column is tested by its min and max; the first bad entry is located
+        only when that fails), then duplicate (object, source) pairs (the
+        error's ``positions`` are the first observation and its repeat),
+        then objects with zero observations, then non-finite feature
+        values. Each object's candidates come in the order its observations
+        first report them: the first observation of each (object, value
+        code) key is found through a table over the key range
+        (`_first_of_keys`) when that range is at most the number of
+        observations, and by `group_keys` otherwise, which serves a value
+        vocabulary of any size.
         """
         sources = tuple(sources)
         objects = tuple(objects)
         values = tuple(values)
-        n_s, n_o = len(sources), len(objects)
-        obs_o = np.asarray(obs_object, dtype=np.int64)
-        obs_s = np.asarray(obs_source, dtype=np.int64)
-        obs_v = np.asarray(obs_value, dtype=np.int64)
-        for name, idx, n in (
-            ("object", obs_o, n_o),
-            ("source", obs_s, n_s),
-            ("value", obs_v, len(values)),
-        ):
-            bad = np.flatnonzero((idx < 0) | (idx >= n))
-            if bad.size:
-                raise InstanceError(f"{name} index {idx[bad[0]]} out of range")
+        n_s, n_o, n_v = len(sources), len(objects), len(values)
+        obs_o = _index_column("object", obs_object, n_o)
+        obs_s = _index_column("source", obs_source, n_s)
+        obs_v = _index_column("value", obs_value, n_v)
         repeat = _first_repeat(obs_o * n_s + obs_s)
         if repeat:
             i = repeat[1]
@@ -227,7 +262,12 @@ class FusionInstance:
             raise InstanceError(f"object {objects[empty[0]]!r} has no observations")
         # Candidates are the distinct (object, value code) keys, ranked by
         # object and then by first appearance.
-        cand, first = group_keys(obs_o * max(len(values), 1) + obs_v)
+        keys = obs_o * max(n_v, 1) + obs_v
+        if n_o * n_v <= _TABLE_CELLS_PER_OBSERVATION * obs_o.size:
+            cand, first = _first_of_keys(keys, n_o * n_v)
+        else:
+            cand, first = group_keys(keys)
+        del keys
         order = np.lexsort((first, obs_o[first]))
         cand_counts = np.bincount(obs_o[first], minlength=n_o)
 
@@ -560,12 +600,20 @@ class GroundTruth:
         """Flat candidate index of each object's label, per object.
 
         An unlabelled object gets -1 and a label that no source reported
-        gets -2; an object index outside the instance raises.
+        gets -2; an object index that is not an integer, or is outside the
+        instance, raises.
         """
-        objects = list(self.labels)
-        for o in objects:
+        objects = []
+        for o in self.labels:
+            try:
+                o = index(o)
+            except TypeError:
+                raise InstanceError(
+                    f"ground-truth object index {o!r} is not an integer"
+                ) from None
             if not (0 <= o < instance.n_objects):
                 raise InstanceError(f"ground-truth object index {o} out of range")
+            objects.append(o)
         idx = np.full(instance.n_objects, _UNLABELLED, dtype=np.int64)
         idx[objects] = instance.candidate_index(objects, self.labels.values())
         return idx

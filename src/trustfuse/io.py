@@ -146,37 +146,77 @@ def _code_cells(
 
     ``buf`` ends in at least 8 zero bytes, and no cell holds a zero byte.
     Each cell is packed, zero-padded, into ceil(width / 8) 64-bit words, at
-    least one. Equal cells have equal widths, so the cells are coded in
-    groups of one word count, whose keys take about as many bytes as their
-    cells. `group_keys` groups the cells of one word count, sorting only the
-    heads of runs of equal cells, by their one word or by a hash of their
-    words; the groups of all word counts are ranked by first appearance.
-    Where hashes collide, equal cells may form several groups; those decode
-    to equal strings, which the closing `factorize` merges.
+    least one, and `group_keys` groups equal keys, sorting only the heads
+    of runs of equal cells. A cell of at most 8 bytes is keyed in place by
+    its one word, masked to its width: that key is the cell, so a column of
+    such cells is one 1-D gather and its groups are its distinct cells.
+    Longer cells are grouped by word count, as equal cells have equal
+    widths, and by a hash of their words; the groups of all word counts
+    are ranked by first appearance. Where hashes collide, equal cells may
+    form several groups; those decode to equal strings, which the closing
+    `factorize` merges. It runs only then, or where trimming changes a
+    distinct cell.
     """
     n = starts.size
     if not n:
         return (), np.zeros(0, dtype=np.int64)
     # words[i] is the little-endian word at byte i of buf.
     words = np.ndarray((buf.size - 7,), np.dtype("<u8"), buf, strides=(1,))
-    n_words = widths + 7
+    is_long = widths > 8
+    exact = not is_long.any()
+    if exact:
+        keys = words[starts]
+        keys &= _LOW_BYTES[widths]
+        run_of, first = group_keys(keys)
+        del keys  # as long as the column
+    else:
+        run_of, first = _group_by_word_count(words, starts, widths, is_long)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    # Decode each group's first cell, as one text of cells each followed by
+    # a comma.
+    at = first[by_first]
+    size = widths[at] + 1
+    stop = np.cumsum(size)
+    joined = buf[np.arange(stop[-1]) - np.repeat(stop - size - starts[at], size)]
+    joined[stop - 1] = ord(",")
+    cells = joined.tobytes().decode().split(",")[:-1]
+    # factorize(cells, strip=True) codes as factorize of the trimmed cells.
+    trimmed = list(map(str.strip, cells))
+    if exact and trimmed == cells:
+        return tuple(cells), rank[run_of]
+    distinct, merged = factorize(trimmed)
+    return distinct, merged[rank][run_of]
+
+
+def _group_by_word_count(
+    words: np.ndarray, starts: np.ndarray, widths: np.ndarray, is_long: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's group and each group's first cell, for the cells of
+    `_code_cells` where those flagged ``is_long`` have over 8 bytes. The
+    cells of one word count are grouped by `group_keys`: the one-word cells
+    by their word, the longer ones ranked by `_row_hash`. Each word count's
+    groups are numbered after those of the word counts before it."""
+    long = np.flatnonzero(is_long)
+    n_words = widths[long] + 7
     n_words >>= 3
-    np.maximum(n_words, 1, out=n_words)
     sizes = np.bincount(n_words)
-    by_words = np.argsort(n_words, kind="stable")
-    del n_words  # each array here is as long as the column
     counts = np.flatnonzero(sizes)
-    run_of = np.empty(n, dtype=np.int64)  # each cell's run, across groups
+    by_words = long[np.argsort(n_words, kind="stable")]
+    del long, n_words
+    groups = np.split(by_words, np.cumsum(sizes[counts])[:-1])
+    run_of = np.empty(starts.size, dtype=np.int64)  # each cell's run, across groups
     firsts = []
     n_runs = 0
-    for k, group in zip(counts, np.split(by_words, np.cumsum(sizes[counts])[:-1])):
+    for k, group in zip([1, *counts], [np.flatnonzero(widths <= 8), *groups]):
         step = 8 * np.arange(k)
         keys = words[starts[group][:, None] + step]
         # Every word but the last is full; the last keeps the cell's bytes.
         keys[:, -1] &= _LOW_BYTES[widths[group] - step[-1]]
         # The group keeps file order, so a cell equal to the one before it
         # joins its run and only the run heads are sorted.
-        if step.size == 1:
+        if k == 1:
             ids, first = group_keys(keys[:, 0])
         else:
             ids, first = group_keys(keys, _row_hash)
@@ -184,20 +224,7 @@ def _code_cells(
         run_of[group] = ids
         firsts.append(group[first])
         n_runs += first.size
-    first = np.concatenate(firsts)
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
-    # Decode each run's first cell, as one text of cells each followed by a
-    # comma.
-    at = first[by_first]
-    size = widths[at] + 1
-    stop = np.cumsum(size)
-    joined = buf[np.arange(stop[-1]) - np.repeat(stop - size - starts[at], size)]
-    joined[stop - 1] = ord(",")
-    cells = joined.tobytes().decode().split(",")[:-1]
-    distinct, merged = factorize(cells, strip=True)
-    return distinct, merged[rank][run_of]
+    return run_of, np.concatenate(firsts)
 
 
 def _row_hash(keys: np.ndarray) -> np.ndarray:

@@ -67,6 +67,44 @@ def test_ground_truth_validation():
     assert restricted.labels == {0: "a"}
 
 
+@pytest.mark.parametrize("triple, column", [
+    ((0.5, 1, "a"), "object index 0.5"),
+    ((0, 1.5, "a"), "source index 1.5"),
+    ((0, float("nan"), "a"), "source index nan"),
+    ((float("inf"), 1, "a"), "object index inf"),
+])
+def test_non_integral_indices_rejected(triple, column):
+    match = f"{column} is not an integer"
+    with pytest.raises(InstanceError, match=match):
+        FusionInstance.from_triples(["s0", "s1"], ["o0"], [triple])
+    o, s, value = triple
+    with pytest.raises(InstanceError, match=match):
+        FusionInstance.from_columns(
+            ["s0", "s1"], ["o0"], np.array([o]), np.array([s]), [value], np.zeros(1)
+        )
+
+
+def test_integral_and_empty_index_columns_load():
+    built = FusionInstance.from_columns(
+        ["s0", "s1"], ["o0"], np.array([0.0, 0.0]), np.array([True, False]),
+        ["a"], np.array([0, 0], dtype=np.uint8),
+    )
+    assert built == FusionInstance.from_triples(
+        ["s0", "s1"], ["o0"], [(0, 1, "a"), (0, 0, "a")]
+    )
+    assert built.obs_object.dtype == built.obs_source.dtype == np.int64
+    with pytest.raises(InstanceError, match="value index 1 out of range"):
+        FusionInstance.from_columns(["s0"], ["o0"], [0], [0], ["a"], np.array([1.0]))
+    empty = FusionInstance.from_columns([], [], [], np.zeros(0), [], [])
+    assert empty.n_observations == 0 and empty.obs_object.dtype == np.int64
+
+
+@pytest.mark.parametrize("label", [0.5, 1.0, "o0"])
+def test_ground_truth_rejects_non_integral_objects(label):
+    with pytest.raises(InstanceError, match=f"index {label!r} is not an integer"):
+        GroundTruth({label: "a"}).validate(make_basic())
+
+
 def test_with_pairs_and_events():
     inst = make_basic().with_pairs([(1, 2)])
     ev_obj, ev_cand, ev_pair = inst.pair_events

@@ -586,17 +586,22 @@ def from_columns_arrays(*columns):
 @settings(max_examples=300, deadline=None)
 @given(columns=observation_columns())
 def test_from_columns_matches_the_unique_build(columns):
-    got = build_outcome(from_columns_arrays, *columns)
     want = build_outcome(ref_from_columns, *columns)
-    if isinstance(want[0], str):
-        assert got == want
-        return
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        if isinstance(w, tuple):
-            assert g == w
-        else:
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+    # These columns are small enough for the candidate table; a guard of -1
+    # cells per observation sends every non-empty build to the sort.
+    for table_cells in (1, -1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("trustfuse.instance._TABLE_CELLS_PER_OBSERVATION", table_cells)
+            got = build_outcome(from_columns_arrays, *columns)
+        if isinstance(want[0], str):
+            assert got == want
+            continue
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            if isinstance(w, tuple):
+                assert g == w
+            else:
+                assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 # -- closed-world label matching ----------------------------------------------
@@ -1045,6 +1050,23 @@ def test_reader_and_loader_match_the_csv_reader_loop(tmp_path_factory, limit, te
         assert outcome(load_observations, path) == outcome(ref_load_observations, path)
     finally:
         csv.field_size_limit(default)
+
+
+def test_loader_matches_the_csv_reader_loop_on_a_shuffled_simulation(tmp_path):
+    # A simulated 50 x 2000 file with its data rows shuffled: thousands of
+    # distinct one-word object cells, a source column without runs and a
+    # two-value column. Its space-padded copy mixes one- and two-word cells
+    # in a column, and every cell trims to a cell of the first file.
+    write_instance(generate(SimConfig(n_sources=50, n_objects=2000, seed=5)), tmp_path)
+    text = (tmp_path / "observations.csv").read_bytes().decode()
+    header, *rows = text.splitlines(keepends=True)
+    order = np.random.default_rng(11).permutation(len(rows))
+    shuffled = header + "".join(rows[i] for i in order)
+    for name, content in (("shuffled.csv", shuffled),
+                          ("padded.csv", shuffled.replace(",", "    ,    "))):
+        path = tmp_path / name
+        path.write_text(content, encoding="utf-8", newline="")
+        assert load_observations(path) == ref_load_observations(path)
 
 
 def reversing_hash(keys):
