@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import index, itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,39 +66,28 @@ def factorize(
     return distinct, codes
 
 
-def group_keys(
-    keys: np.ndarray, rank: Callable[[np.ndarray], np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group the equal rows of ``keys``, a 1-D array of keys or a 2-D array
-    of one key per row: each row's group, and each group's first row.
+def group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal entries of the 1-D array ``keys``: each entry's
+    group, and each group's first entry.
 
-    A row equal to the row before it joins that row's group, so only the
-    heads of such runs are sorted, by ``rank(heads)`` (by default the heads
-    themselves, which must then be 1-D) and with an unstable sort; a group's
-    first row is the smallest of its members. Groups are numbered in sorted
-    order. Equal heads that do not end up next to each other in the sort,
-    because an unequal head of the same rank sits between them, form
-    separate groups.
+    An entry equal to the one before it joins that entry's group, so only
+    the heads of such runs are sorted, with an unstable sort; a group's
+    first entry is the smallest of its members. Groups are numbered in
+    sorted key order.
     """
     n = len(keys)
     if not n:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     head = np.empty(n, dtype=bool)
     head[0] = True
-    if keys.ndim == 1:
-        np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    else:
-        np.any(keys[1:] != keys[:-1], axis=1, out=head[1:])
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
     at = np.flatnonzero(head)
     heads = keys[at]
-    order = np.argsort(heads if rank is None else rank(heads))
+    order = np.argsort(heads)
     heads = heads[order]
     new = np.empty(order.size, dtype=bool)
     new[0] = True
-    if heads.ndim == 1:
-        np.not_equal(heads[1:], heads[:-1], out=new[1:])
-    else:
-        np.any(heads[1:] != heads[:-1], axis=1, out=new[1:])
+    np.not_equal(heads[1:], heads[:-1], out=new[1:])
     # Each temporary goes once used: they are as long as the heads or keys.
     del heads
     first = np.minimum.reduceat(at[order], np.flatnonzero(new))
@@ -106,7 +95,7 @@ def group_keys(
     group_of_head = np.empty(order.size, dtype=np.int64)
     group_of_head[order] = np.cumsum(new) - 1
     del order, new
-    # Row i belongs to the run of the last head at or before it.
+    # Entry i belongs to the run of the last head at or before it.
     run = np.cumsum(head)
     del head
     run -= 1
@@ -239,8 +228,8 @@ class FusionInstance:
         first report them: the first observation of each (object, value
         code) key is found through a table over the key range
         (`_first_of_keys`) when that range is at most the number of
-        observations, and by `group_keys` otherwise, which serves a value
-        vocabulary of any size.
+        observations, and otherwise by `group_keys` of the same 1-D keys,
+        which serves a value vocabulary of any size.
         """
         sources = tuple(sources)
         objects = tuple(objects)
@@ -522,13 +511,20 @@ class FusionInstance:
         the value sits in ``cand_values`` within its object's slice.
 
         A value that no source reported for its object, or an object index
-        outside ``[0, n_objects)``, gets -2.
+        outside ``[0, n_objects)``, gets -2; an object index that is not an
+        integer raises InstanceError.
         """
         bounds = self.cand_offsets.tolist()
         find = self.cand_values.index
         n = self.n_objects
         found = []
         for o, value in zip(objects, values):
+            try:
+                o = index(o)
+            except TypeError:
+                raise InstanceError(
+                    f"ground-truth object index {o!r} is not an integer"
+                ) from None
             # An object out of range searches an empty slice.
             start, stop = (bounds[o], bounds[o + 1]) if 0 <= o < n else (0, 0)
             try:

@@ -54,10 +54,6 @@ class _Rows:
 
 # _LOW_BYTES[w] keeps the first w bytes of a little-endian 64-bit word.
 _LOW_BYTES = np.array([(1 << 8 * w) - 1 for w in range(9)], dtype=np.uint64)
-# splitmix64's increment and multipliers.
-_GAMMA, _MIX1, _MIX2 = np.array(
-    [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB], dtype=np.uint64
-)
 
 
 def _read_rows(path: Path, min_cols: int) -> tuple[list[str], _Rows]:
@@ -141,103 +137,49 @@ def _code_cells(
     buf: np.ndarray, starts: np.ndarray, widths: np.ndarray
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """`factorize(cells, strip=True)` of the UTF-8 cells
-    ``buf[starts[i]:starts[i] + widths[i]]``, with one Python string per
-    distinct cell only.
+    ``buf[starts[i]:starts[i] + widths[i]]``.
 
-    ``buf`` ends in at least 8 zero bytes, and no cell holds a zero byte.
-    Each cell is packed, zero-padded, into ceil(width / 8) 64-bit words, at
-    least one, and `group_keys` groups equal keys, sorting only the heads
-    of runs of equal cells. A cell of at most 8 bytes is keyed in place by
-    its one word, masked to its width: that key is the cell, so a column of
-    such cells is one 1-D gather and its groups are its distinct cells.
-    Longer cells are grouped by word count, as equal cells have equal
-    widths, and by a hash of their words; the groups of all word counts
-    are ranked by first appearance. Where hashes collide, equal cells may
-    form several groups; those decode to equal strings, which the closing
-    `factorize` merges. It runs only then, or where trimming changes a
-    distinct cell.
+    ``buf`` ends in at least 8 zero bytes, and no cell holds a zero byte. A
+    column with a cell over 8 bytes, which one 64-bit word cannot key, is
+    decoded whole (`_decode`) and factorized. Otherwise each cell is keyed
+    in place by the word at its start, masked to its width: that key is
+    the cell, so the column is one 1-D gather, and `group_keys` groups
+    equal keys, sorting only the heads of runs of equal cells. Only each
+    group's first cell becomes a Python string, and those are factorized
+    only where trimming changes one.
     """
-    n = starts.size
-    if not n:
+    if not starts.size:
         return (), np.zeros(0, dtype=np.int64)
+    if widths.max() > 8:
+        return factorize(_decode(buf, starts, widths), strip=True)
     # words[i] is the little-endian word at byte i of buf.
     words = np.ndarray((buf.size - 7,), np.dtype("<u8"), buf, strides=(1,))
-    is_long = widths > 8
-    exact = not is_long.any()
-    if exact:
-        keys = words[starts]
-        keys &= _LOW_BYTES[widths]
-        run_of, first = group_keys(keys)
-        del keys  # as long as the column
-    else:
-        run_of, first = _group_by_word_count(words, starts, widths, is_long)
+    keys = words[starts]
+    keys &= _LOW_BYTES[widths]
+    run_of, first = group_keys(keys)
+    del keys  # as long as the column
     by_first = np.argsort(first)
     rank = np.empty_like(by_first)
     rank[by_first] = np.arange(by_first.size)
-    # Decode each group's first cell, as one text of cells each followed by
-    # a comma.
     at = first[by_first]
-    size = widths[at] + 1
-    stop = np.cumsum(size)
-    joined = buf[np.arange(stop[-1]) - np.repeat(stop - size - starts[at], size)]
-    joined[stop - 1] = ord(",")
-    cells = joined.tobytes().decode().split(",")[:-1]
+    cells = _decode(buf, starts[at], widths[at])
     # factorize(cells, strip=True) codes as factorize of the trimmed cells.
     trimmed = list(map(str.strip, cells))
-    if exact and trimmed == cells:
+    if trimmed == cells:
         return tuple(cells), rank[run_of]
     distinct, merged = factorize(trimmed)
     return distinct, merged[rank][run_of]
 
 
-def _group_by_word_count(
-    words: np.ndarray, starts: np.ndarray, widths: np.ndarray, is_long: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's group and each group's first cell, for the cells of
-    `_code_cells` where those flagged ``is_long`` have over 8 bytes. The
-    cells of one word count are grouped by `group_keys`: the one-word cells
-    by their word, the longer ones ranked by `_row_hash`. Each word count's
-    groups are numbered after those of the word counts before it."""
-    long = np.flatnonzero(is_long)
-    n_words = widths[long] + 7
-    n_words >>= 3
-    sizes = np.bincount(n_words)
-    counts = np.flatnonzero(sizes)
-    by_words = long[np.argsort(n_words, kind="stable")]
-    del long, n_words
-    groups = np.split(by_words, np.cumsum(sizes[counts])[:-1])
-    run_of = np.empty(starts.size, dtype=np.int64)  # each cell's run, across groups
-    firsts = []
-    n_runs = 0
-    for k, group in zip([1, *counts], [np.flatnonzero(widths <= 8), *groups]):
-        step = 8 * np.arange(k)
-        keys = words[starts[group][:, None] + step]
-        # Every word but the last is full; the last keeps the cell's bytes.
-        keys[:, -1] &= _LOW_BYTES[widths[group] - step[-1]]
-        # The group keeps file order, so a cell equal to the one before it
-        # joins its run and only the run heads are sorted.
-        if k == 1:
-            ids, first = group_keys(keys[:, 0])
-        else:
-            ids, first = group_keys(keys, _row_hash)
-        ids += n_runs
-        run_of[group] = ids
-        firsts.append(group[first])
-        n_runs += first.size
-    return run_of, np.concatenate(firsts)
-
-
-def _row_hash(keys: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row of ``keys``: the sum over its words of
-    splitmix64's finalizer of the word plus its position times the
-    increment."""
-    z = keys + _GAMMA * np.arange(1, keys.shape[1] + 1, dtype=np.uint64)
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
-    return z.sum(axis=1, dtype=np.uint64)
+def _decode(buf: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> list[str]:
+    """The UTF-8 cells ``buf[starts[i]:starts[i] + widths[i]]``, none of
+    which holds a comma, decoded as one text of cells each followed by a
+    comma."""
+    size = widths + 1
+    stop = np.cumsum(size)
+    joined = buf[np.arange(stop[-1]) - np.repeat(stop - size - starts, size)]
+    joined[stop - 1] = ord(",")
+    return joined.tobytes().decode().split(",")[:-1]
 
 
 def _read_csv_rows(

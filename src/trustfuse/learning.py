@@ -471,8 +471,9 @@ def _lasso_qp(q: np.ndarray, r: np.ndarray, v: np.ndarray, l1: float) -> np.ndar
     """Minimize ``r.(u - v) + (u - v)'q(u - v)/2 + l1 |u|_1`` over u.
 
     Solved directly when ``l1`` is 0, by cyclic coordinate descent
-    otherwise. A coordinate with no curvature (every one when the ridge is
-    0) stays at ``v`` without L1 and goes to 0, a minimiser, with it.
+    otherwise. A coordinate without curvature (every one when the ridge is
+    0) or with a subnormal one, which dividing by could overflow, stays at
+    ``v`` without L1 and goes to 0, a minimiser, with it.
     """
     if l1 == 0.0:
         return v + np.linalg.lstsq(q, -r, rcond=None)[0]
@@ -481,6 +482,7 @@ def _lasso_qp(q: np.ndarray, r: np.ndarray, v: np.ndarray, l1: float) -> np.ndar
     # scalar operations, in the order of the array arithmetic they replace
     # (`_soft_threshold` of one coordinate, then ``grad += q[:, k] * delta``).
     diag = np.diag(q).tolist()
+    tiny = float(np.finfo(float).tiny)
     columns = q.T.tolist()
     u = v.tolist()
     grad = r.tolist()
@@ -490,7 +492,7 @@ def _lasso_qp(q: np.ndarray, r: np.ndarray, v: np.ndarray, l1: float) -> np.ndar
         for k in coords:
             d = diag[k]
             new = 0.0
-            if d > 0:
+            if d >= tiny:
                 x = d * u[k] - grad[k]
                 m = abs(x) - l1
                 if m < 0.0:

@@ -337,21 +337,39 @@ class TestLoaderRules:
         rows[1700] = f"o200,s3,{value}\n"
         return "".join(rows)
 
+    @staticmethod
+    def load_peak(obs):
+        """`load_instance` of ``obs`` and its `tracemalloc` peak in bytes."""
+        tracemalloc.start()
+        try:
+            inst, _ = load_instance(obs)
+            return inst, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def simulated_rows(object_id, source_id):
+        """200 000 rows as the simulator writes them: 20 000 objects seen by
+        10 of 500 sources each, two values and "\r\n" record ends; object o
+        is named ``object_id(o)`` and source s ``source_id(s)``."""
+        rng = np.random.default_rng(0)
+        values = rng.integers(0, 2, 200_000).tolist()
+        return "".join(
+            f"{object_id(i // 10)},"
+            f"{source_id((i // 10 * 7 + i % 10 * 50) % 500)},v{v}\r\n"
+            for i, v in enumerate(values)
+        )
+
     def test_one_cell_near_the_field_limit_keeps_memory_near_the_file_size(
         self, tmp_path
     ):
-        # The loader codes cells in groups of one 8-byte word count, so one
-        # long value among 3 000 short rows costs about its own bytes once.
+        # A column with a cell over 8 bytes is decoded whole, so one long
+        # value among 3 000 short rows costs a few times its own bytes.
         limit = csv.field_size_limit()
         long_value = "x" * (limit - 1) + "é"  # limit characters, limit + 1 bytes
         obs = tmp_path / "observations.csv"
         obs.write_text(self.HEADER + self.long_value_rows(long_value), encoding="utf-8")
-        tracemalloc.start()
-        try:
-            inst, _ = load_instance(obs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        inst, peak = self.load_peak(obs)
         assert inst.n_observations == 3000 and long_value in inst.cand_values
         assert peak < 64 * obs.stat().st_size
 
@@ -363,32 +381,28 @@ class TestLoaderRules:
         value = "é" * 70_000
         obs = tmp_path / "observations.csv"
         obs.write_text(self.HEADER + self.long_value_rows(value), encoding="utf-8")
-        tracemalloc.start()
-        try:
-            inst, _ = load_instance(obs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        inst, peak = self.load_peak(obs)
         assert inst.n_observations == 3000 and value in inst.cand_values
         assert peak < 24 * obs.stat().st_size
 
     def test_many_short_cells_load_in_under_ten_times_the_file_size(self, tmp_path):
-        # 200 000 rows as the simulator writes them: 20 000 objects seen by
-        # 10 of 500 sources each, two values and "\r\n" record ends.
-        rng = np.random.default_rng(0)
-        values = rng.integers(0, 2, 200_000).tolist()
-        rows = [f"o{i // 10},s{(i // 10 * 7 + i % 10 * 50) % 500},v{v}\r\n"
-                for i, v in enumerate(values)]
+        rows = self.simulated_rows("o{}".format, "s{}".format)
         obs = tmp_path / "observations.csv"
-        obs.write_text(self.HEADER.replace("\n", "\r\n") + "".join(rows), newline="")
-        tracemalloc.start()
-        try:
-            inst, _ = load_instance(obs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        obs.write_text(self.HEADER.replace("\n", "\r\n") + rows, newline="")
+        inst, peak = self.load_peak(obs)
         assert inst.n_observations == 200_000 and inst.n_objects == 20_000
         assert peak < 10 * obs.stat().st_size
+
+    def test_many_long_ids_load_in_under_fourteen_times_the_file_size(self, tmp_path):
+        # 15-byte object and 13-byte source ids: those columns are decoded
+        # whole and factorized (about 10.5 times the file's size at the peak).
+        rows = self.simulated_rows("object-{:08d}".format, "source-{:06d}".format)
+        obs = tmp_path / "observations.csv"
+        obs.write_text(self.HEADER.replace("\n", "\r\n") + rows, newline="")
+        inst, peak = self.load_peak(obs)
+        assert inst.n_observations == 200_000 and inst.n_objects == 20_000
+        assert inst.objects[1] == "object-00000001" and inst.n_sources == 500
+        assert peak < 14 * obs.stat().st_size
 
     def test_cell_within_the_limit_in_characters_only_loads_as_when_quoted(
         self, tmp_path

@@ -105,6 +105,18 @@ def test_ground_truth_rejects_non_integral_objects(label):
         GroundTruth({label: "a"}).validate(make_basic())
 
 
+@pytest.mark.parametrize("label", [0.5, 1.0, "o0"])
+def test_candidate_index_rejects_non_integral_objects(label):
+    inst = make_basic()
+    message = f"ground-truth object index {label!r} is not an integer"
+    with pytest.raises(InstanceError, match=message):
+        GroundTruth({label: "a"}).restricted_to_domains(inst)
+    with pytest.raises(InstanceError, match=message):
+        inst.candidate_index([0, label], ["a", "a"])
+    # An integer out of range is a value no source reported, not an error.
+    assert inst.candidate_index([-1, inst.n_objects], ["a", "a"]).tolist() == [-2, -2]
+
+
 def test_with_pairs_and_events():
     inst = make_basic().with_pairs([(1, 2)])
     ev_obj, ev_cand, ev_pair = inst.pair_events

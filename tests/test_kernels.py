@@ -8,6 +8,7 @@ additions happen in the same order) and consume the rng the same way.
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1055,8 +1056,9 @@ def test_reader_and_loader_match_the_csv_reader_loop(tmp_path_factory, limit, te
 def test_loader_matches_the_csv_reader_loop_on_a_shuffled_simulation(tmp_path):
     # A simulated 50 x 2000 file with its data rows shuffled: thousands of
     # distinct one-word object cells, a source column without runs and a
-    # two-value column. Its space-padded copy mixes one- and two-word cells
-    # in a column, and every cell trims to a cell of the first file.
+    # two-value column. Its space-padded copy holds columns with cells over
+    # 8 bytes, which are decoded and factorized whole, and every cell trims
+    # to a cell of the first file.
     write_instance(generate(SimConfig(n_sources=50, n_objects=2000, seed=5)), tmp_path)
     text = (tmp_path / "observations.csv").read_bytes().decode()
     header, *rows = text.splitlines(keepends=True)
@@ -1069,27 +1071,15 @@ def test_loader_matches_the_csv_reader_loop_on_a_shuffled_simulation(tmp_path):
         assert load_observations(path) == ref_load_observations(path)
 
 
-def reversing_hash(keys):
-    """A stand-in for the loader's row hash that ignores the words: the sort
-    reverses each group of multi-word cells, so equal cells that are not
-    neighbours form runs of their own, as cells whose hashes collide may."""
-    return np.arange(len(keys), 0, -1, dtype=np.uint64)
-
-
-@pytest.mark.parametrize("row_hash", [io._row_hash, reversing_hash])
 @pytest.mark.parametrize("limit", [CSV_LIMIT, csv.field_size_limit()])
 @settings(max_examples=150, deadline=None)
 @given(text=csv_texts())
-def test_coded_columns_equal_factorize_of_their_cells(
-    tmp_path_factory, limit, row_hash, text
-):
+def test_coded_columns_equal_factorize_of_their_cells(tmp_path_factory, limit, text):
     path = tmp_path_factory.getbasetemp() / "coded.csv"
     path.write_text(text, encoding="utf-8", newline="")
     default = csv.field_size_limit(limit)
     try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(io, "_row_hash", row_hash)
-            coded = [outcome(io._read_rows, path, min_cols) for min_cols in (1, 2, 3)]
+        coded = [outcome(io._read_rows, path, min_cols) for min_cols in (1, 2, 3)]
         for min_cols, result in zip((1, 2, 3), coded):
             if result[0] == "InstanceError":
                 continue
@@ -1105,8 +1095,7 @@ def test_coded_columns_equal_factorize_of_their_cells(
         csv.field_size_limit(default)
 
 
-def test_runs_of_equal_cells_share_one_code(tmp_path, monkeypatch):
-    monkeypatch.setattr(io, "_row_hash", reversing_hash)
+def test_runs_of_equal_cells_share_one_code(tmp_path):
     cells = ["abcdefghi", "abcdefghijklmnop", "abcdefghi", "abcdefghi", "é" * 5]
     path = tmp_path / "features.csv"
     path.write_text("\n".join(["source_id", *cells, cells[1]]), encoding="utf-8")
@@ -1116,12 +1105,9 @@ def test_runs_of_equal_cells_share_one_code(tmp_path, monkeypatch):
     assert codes.tolist() == [0, 1, 0, 0, 2, 1]
 
 
-@pytest.mark.parametrize("row_hash", [io._row_hash, reversing_hash])
-def test_runs_of_equal_multi_word_cells_share_one_code(tmp_path, monkeypatch,
-                                                        row_hash):
-    monkeypatch.setattr(io, "_row_hash", row_hash)
-    # Two words each: runs of one cell, a run broken by a padded copy, and
-    # equal cells that come back after another cell's run.
+def test_runs_of_equal_multi_word_cells_share_one_code(tmp_path):
+    # Cells over 8 bytes: runs of one cell, a run broken by a padded copy,
+    # and equal cells that come back after another cell's run.
     long, other = "abcdefghijk", "é" * 6
     cells = [long, long, long, other, other, long, " " + long, long, other, other]
     path = tmp_path / "features.csv"
@@ -1331,7 +1317,7 @@ def ref_lasso_qp(q, r, v, l1):
         largest = 0.0
         for k in range(u.size):
             new = 0.0
-            if diag[k] > 0:
+            if diag[k] >= np.finfo(float).tiny:
                 new = _soft_threshold(diag[k] * u[k] - grad[k], l1) / diag[k]
             delta = new - u[k]
             if delta:
@@ -1368,3 +1354,16 @@ def test_lasso_qp_equals_the_array_loop(problem):
     assert got.dtype == want.dtype and got.shape == want.shape
     # Bit for bit, signed zeros included.
     assert got.tobytes() == want.tobytes()
+
+
+def test_lasso_qp_treats_a_subnormal_curvature_as_none():
+    # 2 / 1.1354e-320 overflows: a subnormal diagonal is no curvature, so
+    # the coordinate goes to 0 under L1.
+    q = np.array([[0.0, 0.0], [0.0, 1.1354e-320]])
+    r, v = np.array([0.0, 2.0]), np.zeros(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _lasso_qp(q, r.copy(), v.copy(), 1.0)
+        want = ref_lasso_qp(q, r.copy(), v.copy(), 1.0)
+    assert np.isfinite(got).all()
+    assert got.tobytes() == want.tobytes() == np.zeros(2).tobytes()
